@@ -87,9 +87,12 @@ def _cmd_seq(args) -> int:
     if args.frm > args.to:
         return _usage_error("--from must not exceed --to")
     try:
-        rows = [(n, str(counter(params, n))) for n in range(args.frm, args.to + 1)]
+        # largest n first, so an enumeration counter sweeps once (see
+        # enumeration._HistCache); printed in ascending order
+        rows = [(n, str(counter(params, n))) for n in range(args.to, args.frm - 1, -1)]
     except ValueError as exc:
         return _usage_error(str(exc))
+    rows.reverse()
     _emit_rows(rows, ("n", "value"), args.format)
     return EXIT_OK
 
@@ -187,7 +190,11 @@ def _cache_path(args) -> str | None:
 
 
 def load_cache(path: str) -> bool:
-    """Load a warm p(n) cache; ignore (with a warning) anything invalid."""
+    """Check a warm p(n) cache file; warn about and ignore anything invalid.
+
+    Every entry is compared against ``count_p``, so no value is ever taken
+    from the file on trust; a file that disagrees anywhere is ignored.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -205,13 +212,11 @@ def load_cache(path: str) -> bool:
     ):
         print(f"warning: ignoring corrupted cache {path}", file=sys.stderr)
         return False
-    # force the honest prefix into the memo so a poisoned file cannot pass
-    en.count_p(min(len(values) - 1, 20) if values else 0)
-    try:
-        en.preload_p([int(v) for v in values])
-    except ValueError as exc:
-        print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-        return False
+    for n, value in enumerate(values):
+        if int(value) != en.count_p(n):
+            print(f"warning: ignoring cache {path}: p({n}) disagrees with "
+                  "the computed value", file=sys.stderr)
+            return False
     return True
 
 

@@ -6,9 +6,12 @@ overlined copy listed first among equal values.
 
 The counting functions enumerate run-encoded partitions (distinct value,
 multiplicity) with an explicit stack and tally histograms keyed by the
-multiplicity of the smallest part; one sweep covers every n up to a bound
-at a cost of one visit per partition.  ``count_p`` alone uses the
-pentagonal-number recurrence.
+multiplicity of the smallest part, visiting each counted partition once.
+A sweep tallies only what its callers read: a fixed-difference sweep
+counts the partitions of the one n asked for, and a sweep without a
+difference covers every n up to a bound, which a caller reading a range
+sets by asking for its largest n first (see ``_HistCache``).  ``count_p``
+alone uses the pentagonal-number recurrence.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ EMPTY_FILTER = PartitionFilter()
 # p(n): pentagonal-number recurrence with a shared memo table
 # ----------------------------------------------------------------------
 
-_p_lock = threading.Lock()
 _p_memo: list[int] = [1]
 
 
@@ -83,10 +85,11 @@ def count_p(n: int) -> int:
     global _p_memo
     if n < 0:
         return 0
-    if n < len(_p_memo):
-        return _p_memo[n]
-    with _p_lock:
-        memo = list(_p_memo)
+    memo = _p_memo
+    if n >= len(memo):
+        # extend a private copy and publish it whole, so a concurrent
+        # caller at worst repeats the work and never reads a partial table
+        memo = list(memo)
         for m in range(len(memo), n + 1):
             total = 0
             j = 1
@@ -102,27 +105,11 @@ def count_p(n: int) -> int:
                 j += 1
             memo.append(total)
         _p_memo = memo
-    return _p_memo[n]
-
-
-def preload_p(values) -> None:
-    """Install precomputed p(n) values (e.g. from a warm cache file).
-
-    Values must extend or agree with what is already memoized; a mismatch
-    raises rather than silently corrupting later counts.
-    """
-    global _p_memo
-    values = [int(v) for v in values]
-    with _p_lock:
-        overlap = min(len(values), len(_p_memo))
-        if values[:overlap] != _p_memo[:overlap]:
-            raise ValueError("preloaded p(n) values disagree with computed ones")
-        if len(values) > len(_p_memo):
-            _p_memo = values
+    return memo[n]
 
 
 # ----------------------------------------------------------------------
-# histogram sweeps: one DFS pass covers all n <= nmax
+# histogram sweeps, tallied by the multiplicity of the smallest part
 # ----------------------------------------------------------------------
 
 
@@ -168,100 +155,109 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
 
 
 def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool):
-    # Same tally restricted to partitions with largest - smallest == t.
+    # Exact target: tally only the partitions of nmax itself whose largest
+    # minus smallest part is t; index nmax of the result holds them, the
+    # rest stay empty.  For each largest part a (floor = a - t) the DFS
+    # walks run-prefixes: the run of a, then middle runs strictly between
+    # floor and a.  A prefix leaving rem closes with a floor run only when
+    # floor divides rem, and no prefix leaving less than one floor part is
+    # ever made.  Overpartitions weigh each partition by 2^runs.
     H: list[dict[int, int]] = [{} for _ in range(nmax + 1)]
-    w0 = 2 if over else 1
-    if t == 0:
-        for a in range(lo, nmax + 1):
-            if mod and a % mod == 0:
-                continue
-            u, c = a, 1
-            while u <= nmax:
-                h = H[u]
-                if c in h:
-                    h[c] += w0
-                else:
-                    h[c] = w0
-                c += 1
-                u += a
-        return H
+    tally = [0] * (nmax + 1)  # by multiplicity of the floor run
+    w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
     for a in range(lo + t, nmax + 1):
-        if mod and (a % mod == 0 or (a - t) % mod == 0):
-            continue
         floor = a - t
+        if mod and (a % mod == 0 or floor % mod == 0):
+            continue
+        if t == 0:
+            if nmax % a == 0:
+                tally[nmax // a] = w_largest
+            continue
+        # (prev, rem, weight) prefixes that can still take a middle run
+        # and a floor part, i.e. rem > 2 floor
         stack = []
         push = stack.append
-        u = a
-        wa = w0 + w0 if over else w0
-        while u + floor <= nmax:
-            push((a, u, wa))
-            u += a
+        pop = stack.pop
+        twice = floor + floor
+        for rem in range(nmax - a, floor - 1, -a):
+            if rem % floor == 0:
+                tally[rem // floor] += w_largest
+            if rem > twice:
+                push((a, rem, w_largest))
         while stack:
-            prev, used, w = stack.pop()
-            avail = nmax - used
+            prev, rem, w = pop()
+            if over:
+                w += w
             v = prev - 1
-            if v > avail:
-                v = avail
-            w2 = w + w if over else w
-            while v >= floor:
+            if v > rem - floor:
+                v = rem - floor
+            while v > floor:
                 if mod and v % mod == 0:
                     v -= 1
                     continue
-                cmax = avail // v
-                u = used + v
-                if v == floor:
-                    c = 1
-                    while c <= cmax:
-                        h = H[u]
-                        if c in h:
-                            h[c] += w
-                        else:
-                            h[c] = w
-                        c += 1
-                        u += v
-                else:
-                    c = 1
-                    while c <= cmax:
-                        if nmax - u >= floor:
-                            push((v, u, w2))
-                        c += 1
-                        u += v
+                extend = v - 1 > floor
+                for r in range(rem - v, floor - 1, -v):
+                    if r % floor == 0:
+                        tally[r // floor] += w
+                    if extend and r > twice:
+                        push((v, r, w))
                 v -= 1
+    H[nmax] = {c: cnt for c, cnt in enumerate(tally) if cnt}
     return H
 
 
 class _HistCache:
-    """Grow-on-demand store of sweep results, keyed by the filter shape."""
+    """Memoised sweep results, keyed by the filter shape.
+
+    Every sweep tallies only what some caller reads; sweeps stay brute
+    force, visiting each counted partition once.
+
+    - Fixed-difference keys (``diff`` not None) are exact-target: a miss
+      sweeps partitions of exactly ``n`` and the histogram is memoised per
+      ``(lo, mod, diff, over, n)``.
+    - Plain keys sweep every size up to a bound at once.  The first miss
+      sweeps to ``n`` (at least 16, below which a sweep costs nothing);
+      a later miss regrows with modest headroom, since a loop that asks
+      for ascending n would otherwise sweep once per n.  Callers that read
+      a range therefore ask for its largest n first, so that one sweep
+      serves the whole range.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._data: dict[tuple, tuple[int, list[dict[int, int]]]] = {}
+        self._plain: dict[tuple, tuple[int, list[dict[int, int]]]] = {}
+        self._diff: dict[tuple, dict[int, int]] = {}
 
     def get(self, n: int, *, lo: int = 1, mod: int | None = None,
             diff: int | None = None, over: bool = False) -> dict[int, int]:
         if n < 0:
             return {}
-        key = (lo, mod, diff, over)
-        entry = self._data.get(key)
+        if diff is not None:
+            key = (lo, mod, diff, over, n)
+            hist = self._diff.get(key)
+            if hist is None:
+                # a racing thread at worst repeats the same sweep
+                hist = _sweep_diff(n, diff, lo, mod, over)[n]
+                self._diff[key] = hist
+            return hist
+        key = (lo, mod, over)
+        entry = self._plain.get(key)
         if entry is None or entry[0] < n:
             with self._lock:
-                entry = self._data.get(key)
+                entry = self._plain.get(key)
                 if entry is None or entry[0] < n:
                     # modest headroom: enumeration cost grows so fast in the
                     # bound that doubling would dwarf the queries themselves
                     old = entry[0] if entry else 0
                     nmax = max(n, 16, old + max(8, old // 8))
-                    if diff is None:
-                        H = _sweep_plain(nmax, lo, mod, over)
-                    else:
-                        H = _sweep_diff(nmax, diff, lo, mod, over)
-                    entry = (nmax, H)
-                    self._data[key] = entry
+                    entry = (nmax, _sweep_plain(nmax, lo, mod, over))
+                    self._plain[key] = entry
         return entry[1][n]
 
     def clear(self) -> None:
         with self._lock:
-            self._data.clear()
+            self._plain.clear()
+            self._diff.clear()
 
 
 _hists = _HistCache()
@@ -438,6 +434,8 @@ def count_breg_diff(l: int, n: int, t: int) -> int:
     """l-regular partitions of n with largest - smallest == t."""
     if l < 2:
         raise ValueError("regularity modulus must be at least 2")
+    if t < 0:
+        raise ValueError("difference must be non-negative")
     if n < 1:
         return 0
     return _total(_hists.get(n, mod=l, diff=t))

@@ -96,15 +96,18 @@ def _coeff0(s: LaurentSeries, n: int) -> int:
 
 
 def _count_grid(points, lhs, rhs):
+    # Evaluated from the last point back, so that each enumeration key is
+    # first asked for its largest n and swept once (see _HistCache);
+    # counterexamples are returned in grid order.
+    points = list(points)
     ces = []
-    npts = 0
-    for params in points:
-        npts += 1
+    for params in reversed(points):
         lv = lhs(**params)
         rv = rhs(**params)
         if lv != rv:
             ces.append({"params": params, "lhs": lv, "rhs": rv})
-    return npts, ces
+    ces.reverse()
+    return len(points), ces
 
 
 def _series_grid(cases):
@@ -185,9 +188,8 @@ def _run_eq_am(to, order, incl):
     w = _pick(order, 60)
     cases = []
     for m in range(1, 7):
-        counted = LaurentSeries.from_coeffs(
-            [0] + [en.count_a(m, n) for n in range(1, w)], 0, w
-        )
+        counts = [en.count_a(m, n) for n in range(w - 1, 0, -1)]  # largest n first
+        counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
         cases.append(({"m": m}, counted, cf.gf_a_m_sum(m, w), range(1, w)))
     pts, ces = _series_grid(cases)
     return pts, ces, f"1 <= m <= 6, coefficients below {w}"
@@ -197,9 +199,8 @@ def _run_thm_am(to, order, incl):
     w = _pick(order, 60)
     cases = []
     for m in range(2, 7):
-        counted = LaurentSeries.from_coeffs(
-            [0] + [en.count_a(m, n) for n in range(1, w)], 0, w
-        )
+        counts = [en.count_a(m, n) for n in range(w - 1, 0, -1)]  # largest n first
+        counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
         cases.append(({"m": m}, counted, cf.gf_a_m_thm(m, w), range(1, w)))
     pts, ces = _series_grid(cases)
     return pts, ces, f"2 <= m <= 6, coefficients below {w}"
@@ -519,19 +520,29 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
     """Check one identity over its grid (or the overridden one).
 
     Grid evaluation is deterministic; mismatches are collected in grid
-    order.  Runner errors (e.g. an override the closed form cannot honor)
-    come back as a skipped report, not an exception.
+    order.  An override the identity cannot honor (a negative ``to`` for a
+    countwise entry, an ``order`` below 1 for a serieswise one, or a
+    window the series layer rejects) comes back as a skipped report; any
+    other error is a fault and propagates.
     """
     ident = get_identity(identity_id)
     start = time.perf_counter()
-    try:
-        points, ces, grid = ident.runner(to, order, include_nondivisible)
-    except (SeriesError, ValueError) as exc:
+
+    def skipped(reason: str) -> VerificationReport:
         return VerificationReport(
             identity=ident.id, grid=ident.grid_desc, status="skipped",
             points=0, counterexamples=[], seconds=time.perf_counter() - start,
-            reason=str(exc),
+            reason=reason,
         )
+
+    if ident.kind == "countwise" and to is not None and to < 0:
+        return skipped("to must be non-negative")
+    if ident.kind == "serieswise" and order is not None and order < 1:
+        return skipped("order must be at least 1")
+    try:
+        points, ces, grid = ident.runner(to, order, include_nondivisible)
+    except SeriesError as exc:
+        return skipped(str(exc))
     status = "verified" if not ces else "refuted"
     return VerificationReport(
         identity=ident.id, grid=grid, status=status, points=points,

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from qpartitions import enumeration as en
 from qpartitions.cli import main
 
 
@@ -207,6 +208,30 @@ def test_cache_corrupt_is_ignored(tmp_path, capsys):
     assert code == 0 and "disagree" in err
     assert [line.split()[1] for line in out.strip().splitlines()] == \
         ["1", "1", "2", "3", "5"]
+
+
+def test_cache_poisoned_late_entry_is_ignored(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.json"
+    run_cli(capsys, "cache", "warm", "--cache", str(path), "--to", "300")
+    data = json.loads(path.read_text())
+    data["p"][300] = str(int(data["p"][300]) + 1)
+    path.write_text(json.dumps(data))
+
+    # each run starts from a cold p(n) memo, as a fresh process does
+    monkeypatch.setattr(en, "_p_memo", [1])
+    code, out, err = run_cli(
+        capsys, "seq", "p", "--from", "300", "--to", "300", "--cache", str(path)
+    )
+    assert code == 0 and "p(300) disagrees" in err
+    assert out.split() == ["300", "9253082936723602"]
+
+    monkeypatch.setattr(en, "_p_memo", [1])
+    code, out, err = run_cli(
+        capsys, "verify", "prop1", "thm_a3", "--to", "300", "--cache", str(path)
+    )
+    assert code == 0 and "p(300) disagrees" in err
+    assert [line.split(":")[1].split()[0] for line in out.splitlines()] == \
+        ["verified", "verified"]
 
 
 def test_cache_needs_path(capsys, monkeypatch):

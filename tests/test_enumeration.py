@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from qpartitions.enumeration import (
     PartitionFilter,
+    _hists,
     count_Q,
     count_a,
     count_a_diff,
@@ -21,7 +24,6 @@ from qpartitions.enumeration import (
     gen_overpartitions,
     gen_partitions,
     is_ubar_counted,
-    preload_p,
 )
 
 P_KNOWN = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
@@ -39,13 +41,6 @@ def test_count_p_known_values():
 def test_count_p_matches_enumeration():
     for n in range(41):
         assert count_p(n) == sum(1 for _ in gen_partitions(n))
-
-
-def test_preload_p_rejects_mismatch():
-    with pytest.raises(ValueError):
-        preload_p([1, 1, 3])
-    preload_p(P_KNOWN)  # consistent prefix is fine
-    assert count_p(20) == 627
 
 
 def test_gen_partitions_order_and_examples():
@@ -217,6 +212,8 @@ def test_breg_counts():
     assert count_breg(2, 6) == 4
     assert count_breg_diff(2, 7, 4) == 1
     assert count_areg(2, 2, 4) == 1
+    with pytest.raises(ValueError):
+        count_breg_diff(2, 5, -1)
     # 2-regular counts match distinct-part counts (checked by enumeration)
     for n in range(1, 31):
         distinct = sum(
@@ -263,3 +260,21 @@ def test_counters_handle_small_n():
     assert count_p_fixed_diff(0, 0) == 0
     assert count_ubar(0) == 0
     assert count_a(3, -1) == 0
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 2, 3])
+def test_exact_target_diff_tallies_match_generators(mod, over):
+    # each fixed-difference histogram (smallest-part multiplicity -> count)
+    # against the lexicographic generators, t = 0 and N < t included;
+    # unrestricted overpartitions stop at 26 (there are 2.3M up to 36)
+    gen = gen_overpartitions if over else gen_partitions
+    n_top = 26 if over and mod is None else 36
+    for n in range(n_top + 1):
+        for t in range(13):
+            f = PartitionFilter(exact_diff=t, excluded_modulus=mod)
+            want = Counter()
+            for parts in gen(n, f):
+                values = [p[0] for p in parts] if over else parts
+                want[values.count(values[-1])] += 1
+            assert _hists.get(n, diff=t, mod=mod, over=over) == want, (n, t)

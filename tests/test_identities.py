@@ -1,5 +1,6 @@
 import pytest
 
+from qpartitions import enumeration as en
 from qpartitions.enumeration import PartitionFilter, gen_overpartitions, gen_partitions
 from qpartitions.identities import (
     UnknownIdentityError,
@@ -51,12 +52,15 @@ def test_concurrent_counting_matches_serial():
     # must reproduce the serial values
     from concurrent.futures import ThreadPoolExecutor
 
-    from qpartitions.enumeration import _hists, count_a, count_abar, count_breg_diff
+    from qpartitions.enumeration import (
+        _hists, count_a, count_abar, count_breg_diff, count_p_fixed_diff,
+    )
 
     _hists.clear()  # exercise concurrent growth from a cold cache
     jobs = [("a", m, n) for m in (1, 2, 3) for n in range(1, 25)]
     jobs += [("abar", m, n) for m in (1, 2) for n in range(1, 15)]
     jobs += [("bregd", l, n) for l in (2, 3) for n in range(1, 20)]
+    jobs += [("pdiff", 2, n) for n in range(1, 16)]
 
     def run(job):
         kind, x, n = job
@@ -64,6 +68,8 @@ def test_concurrent_counting_matches_serial():
             return count_a(x, n)
         if kind == "abar":
             return count_abar(x, n)
+        if kind == "pdiff":
+            return count_p_fixed_diff(x * n, n)
         return count_breg_diff(x, n, 2)
 
     serial = [run(j) for j in jobs]
@@ -115,6 +121,63 @@ def test_skipped_report_on_impossible_override():
     assert r.status == "skipped"
     assert r.reason
     assert r.counterexamples == []
+    # out-of-range overrides are rejected before the runner starts
+    for identity_id, kw in (("prop2", {"to": -1}), ("qbinthm", {"order": 0})):
+        r = verify(identity_id, **kw)
+        assert r.status == "skipped" and r.points == 0 and r.reason
+
+
+def test_verify_propagates_runner_faults(monkeypatch):
+    # a fault inside a counter is not an impossible override: it must
+    # surface instead of turning into a skipped report
+    def broken(*args):
+        raise ValueError("sweep fault")
+
+    monkeypatch.setattr(en, "_sweep_plain", broken)
+    en._hists.clear()
+    with pytest.raises(ValueError, match="sweep fault"):
+        verify("thmG1")
+
+
+@pytest.fixture
+def record_sweeps(monkeypatch):
+    """Start a cold cache whose sweeps are logged; tally=False records the
+    schedule alone, caching empty histograms (cleared again on teardown)."""
+
+    def start(tally=True):
+        calls = []
+        for name in ("_sweep_plain", "_sweep_diff"):
+            def spy(*args, _real=getattr(en, name), _name=name):
+                calls.append((_name, args))
+                return _real(*args) if tally else [{}] * (args[0] + 1)
+
+            monkeypatch.setattr(en, name, spy)
+        en._hists.clear()
+        return calls
+
+    yield start
+    en._hists.clear()
+
+
+def test_sweep_budget(record_sweeps):
+    calls = record_sweeps()
+    assert verify("thmG1").status == "verified"
+    plain = [args for name, args in calls if name == "_sweep_plain"]
+    assert [a for a in plain if a[1:] == (1, None, False)] == [(60, 1, None, False)]
+    keys = [a[1:] for a in plain]
+    assert len(keys) == len(set(keys))  # every key (the Q_{l,k} ones too) once
+
+    calls = record_sweeps()
+    assert verify("remark7").status == "refuted"
+    diffs = [args for name, args in calls if name == "_sweep_diff"]
+    assert sorted(a[:2] for a in diffs) == [(2 * n, n) for n in range(1, 61)]
+
+    # an ascending library loop still regrows with headroom: no more sweeps,
+    # and none deeper, than 16, 24, ..., 56, 64
+    calls = record_sweeps(tally=False)
+    [en.count_a(2, n) for n in range(1, 61)]
+    bounds = [args[0] for _, args in calls]
+    assert len(bounds) <= 7 and max(bounds) <= 64
 
 
 def test_report_invariants():
