@@ -114,13 +114,12 @@ def count_p(n: int) -> int:
 
 
 def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
-    # H[n][c] accumulates partitions of n whose smallest run is (v, c);
+    # T[n][c] accumulates partitions of n whose smallest run is (v, c);
     # every run-prefix in the DFS tree is itself a partition of its sum,
     # so each qualifying partition of each n <= nmax is visited once.
     # For overpartitions each value run may carry one overline: weight 2^runs.
-    H: list[dict[int, int]] = [{} for _ in range(nmax + 1)]
-    if nmax < 1:
-        return H
+    # The flat per-n lists become histogram dicts once, at the end.
+    T = [[0] * (n // lo + 1) for n in range(nmax + 1)]
     w0 = 2 if over else 1
     stack = [(nmax + 1, 0, w0)]
     push = stack.append
@@ -141,17 +140,13 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
             extend = v > lo
             c = 1
             while c <= cmax:
-                h = H[u]
-                if c in h:
-                    h[c] += w
-                else:
-                    h[c] = w
+                T[u][c] += w
                 if extend and nmax - u >= lo:
                     push((v, u, w2))
                 c += 1
                 u += v
             v -= 1
-    return H
+    return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
 
 
 def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool):

@@ -96,18 +96,19 @@ def _coeff0(s: LaurentSeries, n: int) -> int:
 
 
 def _count_grid(points, lhs, rhs):
-    # Evaluated from the last point back, so that each enumeration key is
-    # first asked for its largest n and swept once (see _HistCache);
-    # counterexamples are returned in grid order.
+    # Evaluated from the largest n down, so that each enumeration key is
+    # first asked for its largest n and swept once (see _HistCache); a
+    # runner whose sides read past n asks for that depth itself first.
+    # Counterexamples are returned in grid order.
     points = list(points)
-    ces = []
-    for params in reversed(points):
+    found = {}
+    for i in sorted(range(len(points)), key=lambda i: points[i]["n"], reverse=True):
+        params = points[i]
         lv = lhs(**params)
         rv = rhs(**params)
         if lv != rv:
-            ces.append({"params": params, "lhs": lv, "rhs": rv})
-    ces.reverse()
-    return len(points), ces
+            found[i] = {"params": params, "lhs": lv, "rhs": rv}
+    return len(points), [found[i] for i in sorted(found)]
 
 
 def _series_grid(cases):
@@ -316,6 +317,7 @@ def _run_qbinthm(to, order, incl):
 
 def _run_over_a2(to, order, incl):
     n_max = _pick(to, 20)
+    en.count_pbar(n_max + 1)  # the deepest read: sweep the overpartition key once
     pts, ces = _count_grid(
         ({"n": n} for n in range(1, n_max + 1)),
         lambda n: en.count_abar(2, n),
@@ -346,6 +348,7 @@ def _run_over_gen(to, order, incl):
 
 def _run_reg_a2(to, order, incl):
     n_max = _pick(to, 60)
+    en.count_breg(2, n_max + 2)  # the deepest read: sweep the mod-2 key once
     pts, ces = _count_grid(
         ({"n": n} for n in range(1, n_max + 1)),
         lambda n: en.count_areg(2, 2, n),

@@ -7,10 +7,20 @@ an error rather than a silent zero.  All operations propagate the truncation
 window pessimistically, so a coefficient you can read is always correct.
 
 Values are immutable; every operation returns a new series.
+
+Coefficient kernels work on whole tuples.  ``add`` and ``eq_to`` line both
+windows up by slicing, the structural zeros becoming a prefix pad;
+``mul_binomial`` is one pass over two aligned slices; ``mul`` is Kronecker
+substitution (:func:`_kronecker`), which packs each operand into one
+integer and multiplies once with CPython's bigint product; ``inverse``
+starts with a short schoolbook recurrence and continues with Newton steps
+on the same kernel.  ``div_binomial`` stays a running loop, since each
+coefficient needs the one j places before it.  Every result is exact.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -24,6 +34,41 @@ class WindowError(SeriesError):
 
 class NonInvertibleError(SeriesError):
     """Inversion of a series whose lowest nonzero coefficient is not a unit."""
+
+
+# Coefficients of an inverse computed by the schoolbook recurrence before
+# Newton steps take over.
+_NEWTON_BASE = 32
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The first ``n`` coefficients of the product of polynomials a and b.
+
+    Each operand is evaluated at 2**w as one integer and the two integers
+    are multiplied once.  A product coefficient is a sum of at most
+    min(len a, len b) terms, so its size is below 2**(bits(max|a|) +
+    bits(max|b|) + bits(min(len a, len b))); one more bit for the sign keeps
+    the slots from carrying into each other.  Digits are offset-binary (each
+    slot holds c + 2**(w-1)), so signed coefficients unpack exactly.
+    """
+    a, b = a[:n], b[:n]
+    ma = max(map(abs, a), default=0)
+    mb = max(map(abs, b), default=0)
+    if not ma or not mb:
+        return (0,) * n
+    size = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
+    off = 1 << (8 * size - 1)
+    rep = off.to_bytes(size, "little")  # one slot holding the offset
+
+    def pack(x):
+        digits = b"".join([(c + off).to_bytes(size, "little") for c in x])
+        return int.from_bytes(digits, "little") - int.from_bytes(rep * len(x), "little")
+
+    prod = pack(a) * pack(b) + int.from_bytes(rep * n, "little")
+    width = size * n
+    buf = (prod & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    from_bytes = int.from_bytes
+    return tuple([from_bytes(buf[i : i + size], "little") - off for i in range(0, width, size)])
 
 
 @dataclass(frozen=True)
@@ -101,12 +146,12 @@ class LaurentSeries:
             )
         return self.coeffs[n - self.min_exp]
 
-    def _get(self, n: int) -> int:
-        # Coefficient with structural zeros below min_exp; caller guarantees
-        # n < trunc_order.
-        if n < self.min_exp:
-            return 0
-        return self.coeffs[n - self.min_exp]
+    def _span(self, lo: int, hi: int) -> tuple[int, ...]:
+        # Coefficients of q**lo .. q**(hi-1), the structural zeros below
+        # min_exp as a prefix pad; the caller guarantees lo <= min_exp and
+        # hi <= trunc_order (lo > hi gives the empty tuple).
+        m = self.min_exp
+        return (0,) * (min(m, hi) - lo) + self.coeffs[: max(hi - m, 0)]
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if none stored."""
@@ -137,10 +182,7 @@ class LaurentSeries:
                 f"({self.trunc_order}, {other.trunc_order})"
             )
         lo = min(self.min_exp, other.min_exp)
-        for e in range(lo, order):
-            if self._get(e) != other._get(e):
-                return False
-        return True
+        return self._span(lo, order) == other._span(lo, order)
 
     def agrees_with(self, other: "LaurentSeries") -> bool:
         """Equality on the largest window both sides know."""
@@ -156,18 +198,18 @@ class LaurentSeries:
         hi = min(self.trunc_order, other.trunc_order)
         if lo > hi:
             lo = hi
-        out = [self._get(e) + other._get(e) for e in range(lo, hi)]
-        return LaurentSeries(lo, tuple(out), hi)
+        out = tuple(map(operator.add, self._span(lo, hi), other._span(lo, hi)))
+        return LaurentSeries(lo, out, hi)
 
     def neg(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_exp, tuple(-c for c in self.coeffs), self.trunc_order)
+        return LaurentSeries(self.min_exp, tuple([-x for x in self.coeffs]), self.trunc_order)
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
 
     def scale(self, c: int) -> "LaurentSeries":
         """Multiply every coefficient by the integer c."""
-        return LaurentSeries(self.min_exp, tuple(c * x for x in self.coeffs), self.trunc_order)
+        return LaurentSeries(self.min_exp, tuple([c * x for x in self.coeffs]), self.trunc_order)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Cauchy product on the largest window the inputs can certify.
@@ -178,25 +220,16 @@ class LaurentSeries:
         lo = self.min_exp + other.min_exp
         hi = min(self.trunc_order + other.min_exp, other.trunc_order + self.min_exp)
         n = hi - lo  # == min(len(a), len(b)) window lengths
-        a, b = self.coeffs, other.coeffs
-        la, lb = len(a), len(b)
-        out = [0] * n
-        for i in range(min(la, n)):
-            ai = a[i]
-            if ai:
-                jmax = min(lb, n - i)
-                for j in range(jmax):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return LaurentSeries(lo, tuple(out), hi)
+        return LaurentSeries(lo, _kronecker(self.coeffs, other.coeffs, n), hi)
 
     def inverse(self, order: int) -> "LaurentSeries":
         """Multiplicative inverse with ``order`` computed coefficients.
 
         The lowest nonzero coefficient must be +1 or -1 (a unit over the
         integers), and the input window must supply ``order`` coefficients
-        starting from that valuation.
+        starting from that valuation.  The first coefficients come from the
+        schoolbook recurrence; each Newton step g <- g + g*(1 - u*g) then
+        doubles the known prefix.
         """
         v = self.valuation()
         if v is None:
@@ -215,16 +248,23 @@ class LaurentSeries:
             )
         base = v - self.min_exp
         u = self.coeffs[base : base + order]
-        inv = [0] * order
+        k = min(order, _NEWTON_BASE)
+        inv = [0] * k
         inv[0] = u0  # 1/u0 == u0 for u0 = +-1
-        for n in range(1, order):
+        for n in range(1, k):
             s = 0
             for i in range(1, n + 1):
                 ui = u[i]
                 if ui:
                     s += ui * inv[n - i]
             inv[n] = -u0 * s
-        return LaurentSeries(-v, tuple(inv), -v + order)
+        g = tuple(inv)
+        while k < order:
+            k2 = min(2 * k, order)
+            err = _kronecker(u, g, k2)[k:]  # u*g == 1 + O(q**k)
+            g += tuple([-x for x in _kronecker(g, err, k2 - k)])
+            k = k2
+        return LaurentSeries(-v, g, -v + order)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -275,10 +315,9 @@ class LaurentSeries:
         """Multiply by the exact polynomial (1 - c*q**j), j >= 1."""
         if j < 1:
             raise WindowError("binomial exponent must be positive")
-        out = list(self.coeffs)
-        for i in range(len(out) - 1, j - 1, -1):
-            out[i] -= c * out[i - j]
-        return LaurentSeries(self.min_exp, tuple(out), self.trunc_order)
+        a = self.coeffs
+        out = a[:j] + tuple([x - c * y for x, y in zip(a[j:], a)])
+        return LaurentSeries(self.min_exp, out, self.trunc_order)
 
     def div_binomial(self, c: int, j: int) -> "LaurentSeries":
         """Divide by (1 - c*q**j), j >= 1 (always a unit)."""

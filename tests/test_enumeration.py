@@ -5,6 +5,7 @@ import pytest
 from qpartitions.enumeration import (
     PartitionFilter,
     _hists,
+    _sweep_plain,
     count_Q,
     count_a,
     count_a_diff,
@@ -278,3 +279,21 @@ def test_exact_target_diff_tallies_match_generators(mod, over):
                 values = [p[0] for p in parts] if over else parts
                 want[values.count(values[-1])] += 1
             assert _hists.get(n, diff=t, mod=mod, over=over) == want, (n, t)
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 2, 3])
+@pytest.mark.parametrize("lo", [1, 2, 3])
+def test_plain_sweep_tallies_match_generators(lo, mod, over):
+    # one sweep's histogram at every n against the lexicographic generators;
+    # unrestricted overpartitions stop at 18, the rest at 30
+    gen = gen_overpartitions if over else gen_partitions
+    n_top = 18 if over and mod is None and lo == 1 else 30
+    hists = _sweep_plain(n_top, lo, mod, over)
+    assert len(hists) == n_top + 1
+    for n in range(1, n_top + 1):
+        want = Counter()
+        for parts in gen(n, PartitionFilter(min_part=lo, excluded_modulus=mod)):
+            values = [p[0] for p in parts] if over else parts
+            want[values.count(values[-1])] += 1
+        assert hists[n] == want, n

@@ -101,6 +101,11 @@ def test_reg_div_refutes_without_hypothesis():
     # the first mismatch is the documented odd case: b_2(2n, n) = 0
     assert first["params"] == {"m": 2, "l": 2, "n": 3}
     assert first["lhs"] == 1 and first["rhs"] == 0
+    # evaluated deepest n first, reported in grid order
+    grid = [(2, l, n) for l in (2, 3, 4, 5) for n in range(1, 13)]
+    grid += [(3, l, n) for l in (2, 3) for n in range(1, 7) if n % l == 0]
+    found = [tuple(ce["params"].values()) for ce in r.counterexamples]
+    assert found == sorted(found, key=grid.index)
     clean = verify("reg_div", to=12)
     assert clean.status == "verified"
 
@@ -166,6 +171,20 @@ def test_sweep_budget(record_sweeps):
     assert [a for a in plain if a[1:] == (1, None, False)] == [(60, 1, None, False)]
     keys = [a[1:] for a in plain]
     assert len(keys) == len(set(keys))  # every key (the Q_{l,k} ones too) once
+
+    # sides that read past n (n + 1, n + 2), and a grid whose last points
+    # are not its deepest, still sweep each plain key once, to its depth
+    for identity_id, incl, depths in (
+        ("over_a2", False, {(1, None, True): 21}),
+        ("reg_a2", False, {(1, 2, False): 62}),
+        ("reg_div", False, {(1, l, False): 48 for l in (2, 3, 4)} | {(1, 5, False): 45}),
+        ("reg_div", True, {(1, l, False): 48 for l in (2, 3, 4, 5)}),
+    ):
+        calls = record_sweeps()
+        assert verify(identity_id, include_nondivisible=incl).status in ("verified", "refuted")
+        plain = [args for name, args in calls if name == "_sweep_plain"]
+        assert sorted(a[1:] for a in plain) == sorted(depths), identity_id
+        assert {a[1:]: a[0] for a in plain} == depths, identity_id
 
     calls = record_sweeps()
     assert verify("remark7").status == "refuted"

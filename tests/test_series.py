@@ -207,3 +207,146 @@ def test_binomial_helpers_match_mul():
         assert a.mul_binomial(c, j).eq_to(via_mul, via_mul.trunc_order)
         # divide then multiply restores the original on the window
         assert a.div_binomial(c, j).mul_binomial(c, j) == a
+
+
+# ----------------------------------------------------------------------
+# the bulk kernels against schoolbook references written out here, at sizes
+# the small random tests above never reach (Newton steps, wide slots)
+# ----------------------------------------------------------------------
+
+
+def _ref_coeff(a, e):
+    return a.coeffs[e - a.min_exp] if e >= a.min_exp else 0
+
+
+def _ref_add(a, b):
+    lo = min(a.min_exp, b.min_exp)
+    hi = min(a.trunc_order, b.trunc_order)
+    lo = min(lo, hi)
+    return LS(lo, tuple(_ref_coeff(a, e) + _ref_coeff(b, e) for e in range(lo, hi)), hi)
+
+
+def _ref_mul(a, b):
+    lo = a.min_exp + b.min_exp
+    hi = min(a.trunc_order + b.min_exp, b.trunc_order + a.min_exp)
+    n = hi - lo
+    out = [0] * n
+    for i, x in enumerate(a.coeffs[:n]):
+        for j, y in enumerate(b.coeffs[: n - i]):
+            out[i + j] += x * y
+    return LS(lo, tuple(out), hi)
+
+
+def _ref_inverse(u, order):
+    # u[0] = +-1; the inverse's coefficients from the recurrence
+    inv = [u[0]]
+    for n in range(1, order):
+        inv.append(-u[0] * sum(u[i] * inv[n - i] for i in range(1, n + 1)))
+    return inv
+
+
+def _ref_mul_binomial(a, c, j):
+    x = a.coeffs
+    return LS(a.min_exp, tuple(x[i] - (c * x[i - j] if i >= j else 0)
+                               for i in range(len(x))), a.trunc_order)
+
+
+def _ref_div_binomial(a, c, j):
+    out = []
+    for i, x in enumerate(a.coeffs):
+        out.append(x + (c * out[i - j] if i >= j else 0))
+    return LS(a.min_exp, tuple(out), a.trunc_order)
+
+
+def _wide_series(rng, max_len, bound):
+    min_exp = rng.randint(-5, 5)
+    length = rng.randint(0, max_len)
+    if rng.random() < 0.3:  # sparse, as the Pochhammer products are
+        coeffs = tuple(rng.choice((0, 0, 0, rng.randint(-bound, bound))) for _ in range(length))
+    else:
+        coeffs = tuple(rng.randint(-bound, bound) for _ in range(length))
+    return LS(min_exp, coeffs, min_exp + length)
+
+
+def test_kernels_match_schoolbook_wide():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        bound = rng.choice((1, 10**3, 10**40))
+        a = _wide_series(rng, 300, bound)
+        b = _wide_series(rng, 300, rng.choice((1, 10**40)))
+        assert a.mul(b) == _ref_mul(a, b)
+        assert a.add(b) == _ref_add(a, b)
+        assert a.sub(b) == _ref_add(a, LS(b.min_exp, tuple(-x for x in b.coeffs), b.trunc_order))
+        c = rng.choice((1, -1, 2, -10**20))
+        j = rng.randint(1, 40)
+        assert a.mul_binomial(c, j) == _ref_mul_binomial(a, c, j)
+        assert a.div_binomial(c, j) == _ref_div_binomial(a, c, j)
+        assert a.scale(c).coeffs == tuple(c * x for x in a.coeffs)
+        # a padded with leading zeros, and then with its last coefficient off
+        padded = LS(a.min_exp - 2, (0, 0) + a.coeffs, a.trunc_order)
+        assert a.eq_to(padded, a.trunc_order) and padded.eq_to(a, a.trunc_order)
+        if a.coeffs:
+            off = LS(padded.min_exp, padded.coeffs[:-1] + (padded.coeffs[-1] + 1,), a.trunc_order)
+            assert not a.eq_to(off, a.trunc_order)
+            assert a.eq_to(off, a.trunc_order - 1)
+
+
+@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (-1, -1), (1, -1)])
+def test_mul_tight_slot(sign_a, sign_b):
+    # every coefficient is +-M, so the middle product coefficient is exactly
+    # min(len)*M^2: the largest a slot must hold.  2k + j is a multiple of 8,
+    # so a slot one bit narrower is one byte narrower.
+    for k, j in ((3, 2), (2, 4), (5, 6), (4, 8), (20, 8), (64, 8), (133, 6), (124, 8)):
+        m, length = 2**k - 1, 2**j - 1
+        for extra in (0, 5):
+            a = LS(0, (sign_a * m,) * length, length)
+            b = LS(0, (sign_b * m,) * (length + extra), length + extra)
+            prod = a.mul(b)
+            assert prod.coeff(length - 1) == sign_a * sign_b * length * m * m, (k, j)
+            assert prod == _ref_mul(a, b), (k, j)
+
+
+def test_kernels_zero_and_disjoint_windows():
+    zero = LS.zero(20)
+    dense = LS(0, tuple(range(1, 21)), 20)
+    assert zero.mul(dense) == LS(0, (0,) * 20, 20)
+    assert dense.mul(LS(3, (), 3)) == LS(3, (), 3)
+    assert dense.mul(LS(2, (0, 0, 0), 5)) == _ref_mul(dense, LS(2, (0, 0, 0), 5))
+    # min_exp at or past the other operand's trunc_order
+    far = LS(25, (7, -7, 1, 2, 3, 4, 5, 6), 33)
+    for x, y in ((far, dense), (dense, far), (LS(20, (), 20), dense)):
+        assert x.add(y) == _ref_add(x, y)
+        assert x.sub(y) == _ref_add(x, y.neg())
+        assert x.mul(y) == _ref_mul(x, y)
+    assert not far.eq_to(dense, 20)
+    assert far.eq_to(zero, 20) and zero.eq_to(far, 20)
+    assert LS(5, (0, 0), 7).eq_to(LS(-3, (0,) * 10, 7), 7)
+
+
+def test_binomial_helpers_past_the_window():
+    a = LS(-2, (3, -1, 4, 1, -5), 3)
+    for j in (5, 6, 40):
+        assert a.mul_binomial(7, j) == a
+        assert a.div_binomial(7, j) == a
+    assert a.mul_binomial(7, 4) == _ref_mul_binomial(a, 7, 4)
+    assert a.div_binomial(-7, 4) == _ref_div_binomial(a, -7, 4)
+    empty = LS(4, (), 4)
+    assert empty.mul_binomial(1, 1) == empty and empty.div_binomial(1, 1) == empty
+
+
+@pytest.mark.parametrize("order", [31, 32, 33, 64, 65, 200])
+@pytest.mark.parametrize("u0", [1, -1])
+def test_inverse_across_newton_steps(order, u0):
+    rng = random.Random(order * u0)
+    # wide inputs make the inverse's coefficients grow about 40 digits a term
+    for bound in (1, 10**40) if order <= 65 else (1,):
+        v = rng.randint(-3, 3)
+        coeffs = (u0,) + tuple(rng.randint(-bound, bound) for _ in range(order + 3))
+        a = LS(v - 1, (0,) + coeffs, v + len(coeffs))
+        inv = a.inverse(order)
+        assert (inv.min_exp, inv.trunc_order) == (-v, -v + order)
+        assert list(inv.coeffs) == _ref_inverse(coeffs, order)
+    # an exact polynomial whose inverse coefficients grow
+    euler = LS.from_coeffs([u0, -u0, -u0, 0, 0, u0, 0, u0], 0, order)
+    inv = euler.inverse(order)
+    assert list(inv.coeffs) == _ref_inverse(euler.coeffs, order)
