@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import enumeration as en
 from .dsl import DslEvalError, DslSyntaxError, eval_text
@@ -132,25 +131,12 @@ def _cmd_verify(args) -> int:
     if unknown:
         return _usage_error(f"unknown identity id(s): {', '.join(unknown)}")
 
-    def run(identity_id):
-        return verify(
-            identity_id,
-            to=args.to,
-            order=args.order,
-            include_nondivisible=args.include_nondivisible,
-        )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = {i: r for i, r in zip(ids, pool.map(run, ids))}
-    else:
-        reports = {i: run(i) for i in ids}
-
     if args.format == "csv":
         print("identity,status,points,counterexamples,seconds")
     exit_code = EXIT_OK
-    for identity_id in ids:  # registry order is deterministic
-        report = reports[identity_id]
+    for identity_id in ids:
+        report = verify(identity_id, to=args.to, order=args.order,
+                        include_nondivisible=args.include_nondivisible)
         for line in _report_lines(report, args.format):
             print(line)
         if report.status == "refuted":
@@ -168,7 +154,12 @@ def _cmd_verify(args) -> int:
 def _cmd_series(args) -> int:
     order = args.order
     if order is None:
-        order = int(os.environ.get(ENV_ORDER, "10"))
+        try:
+            order = int(os.environ.get(ENV_ORDER, "10"))
+        except ValueError:
+            return _usage_error(
+                f"${ENV_ORDER} must be an integer, not {os.environ[ENV_ORDER]!r}"
+            )
     if order < 1:
         return _usage_error("--order must be at least 1")
     try:
@@ -276,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table", help="output format")
     common.add_argument("--cache", metavar="PATH", default=None,
                         help=f"p(n) cache file (default ${ENV_CACHE})")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="concurrent identity evaluations")
 
     parser = argparse.ArgumentParser(
         prog="qpartitions",

@@ -16,7 +16,6 @@ alone uses the pentagonal-number recurrence.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -82,14 +81,10 @@ _p_memo: list[int] = [1]
 
 def count_p(n: int) -> int:
     """p(n), the number of partitions of n; 0 for negative n."""
-    global _p_memo
     if n < 0:
         return 0
     memo = _p_memo
     if n >= len(memo):
-        # extend a private copy and publish it whole, so a concurrent
-        # caller at worst repeats the work and never reads a partial table
-        memo = list(memo)
         for m in range(len(memo), n + 1):
             total = 0
             j = 1
@@ -104,7 +99,6 @@ def count_p(n: int) -> int:
                     total += sign * memo[m - g2]
                 j += 1
             memo.append(total)
-        _p_memo = memo
     return memo[n]
 
 
@@ -219,7 +213,6 @@ class _HistCache:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._plain: dict[tuple, tuple[int, list[dict[int, int]]]] = {}
         self._diff: dict[tuple, dict[int, int]] = {}
 
@@ -231,28 +224,23 @@ class _HistCache:
             key = (lo, mod, diff, over, n)
             hist = self._diff.get(key)
             if hist is None:
-                # a racing thread at worst repeats the same sweep
                 hist = _sweep_diff(n, diff, lo, mod, over)[n]
                 self._diff[key] = hist
             return hist
         key = (lo, mod, over)
         entry = self._plain.get(key)
         if entry is None or entry[0] < n:
-            with self._lock:
-                entry = self._plain.get(key)
-                if entry is None or entry[0] < n:
-                    # modest headroom: enumeration cost grows so fast in the
-                    # bound that doubling would dwarf the queries themselves
-                    old = entry[0] if entry else 0
-                    nmax = max(n, 16, old + max(8, old // 8))
-                    entry = (nmax, _sweep_plain(nmax, lo, mod, over))
-                    self._plain[key] = entry
+            # modest headroom: enumeration cost grows so fast in the bound
+            # that doubling would dwarf the queries themselves
+            old = entry[0] if entry else 0
+            nmax = max(n, 16, old + max(8, old // 8))
+            entry = (nmax, _sweep_plain(nmax, lo, mod, over))
+            self._plain[key] = entry
         return entry[1][n]
 
     def clear(self) -> None:
-        with self._lock:
-            self._plain.clear()
-            self._diff.clear()
+        self._plain.clear()
+        self._diff.clear()
 
 
 _hists = _HistCache()

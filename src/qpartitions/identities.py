@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import closed_forms as cf
 from . import enumeration as en
 from .qobjects import Monomial, poch_infinite, q_hyper_sum, qbinomial_theorem_lhs_rhs
 from .series import LaurentSeries, SeriesError
 
-_Q = Monomial.q()
 _MONOS = (
     Monomial.zero(),
     Monomial(1, 1),
@@ -37,13 +36,30 @@ class UnknownIdentityError(KeyError):
 
 @dataclass(frozen=True)
 class Identity:
-    """A registered claim with two independent evaluators."""
+    """A registered claim with two independent evaluators, as data.
+
+    ``bound`` is the default grid bound: the largest n (``to``) for a
+    countwise entry, the series order (``order``) for a serieswise one.
+    ``grid(N, incl)`` describes the grid that bound N spans and
+    ``points(N, incl)`` generates it (``incl`` is ``include_nondivisible``):
+    parameter dicts for a countwise entry, ``(params, lhs, rhs, exponents)``
+    cases for a serieswise one.  ``sides(N)``, countwise entries only,
+    returns the ``(lhs, rhs)`` evaluators, each called with a point's
+    parameters as keywords; it first reads whatever lies past the grid's
+    largest n, so that each plain enumeration key is swept once, to its
+    deepest read.  Sides call other modules through their attributes at
+    call time (``lambda n: cf.a3_via_p(n)``), never through a function
+    object stored here, so that a wrapper later set on the module (a
+    tracer's hook, a test's monkeypatch) sees every call.
+    """
 
     id: str
     kind: str  # "countwise" | "serieswise"
     statement: str
-    grid_desc: str
-    runner: Callable  # (to, order, include_nondivisible) -> (points, counterexamples, grid)
+    bound: int
+    grid: Callable[[int, bool], str]
+    points: Callable[[int, bool], Iterable]
+    sides: Callable[[int], tuple[Callable, Callable]] | None = None
 
 
 @dataclass
@@ -83,10 +99,6 @@ class VerificationReport:
         }
 
 
-def _pick(value, default):
-    return default if value is None else value
-
-
 def _coeff0(s: LaurentSeries, n: int) -> int:
     # Coefficient with the structural zero below min_exp made explicit;
     # exponents at or past the window still raise.
@@ -97,8 +109,8 @@ def _coeff0(s: LaurentSeries, n: int) -> int:
 
 def _count_grid(points, lhs, rhs):
     # Evaluated from the largest n down, so that each enumeration key is
-    # first asked for its largest n and swept once (see _HistCache); a
-    # runner whose sides read past n asks for that depth itself first.
+    # first asked for its largest n and swept once (see _HistCache); sides
+    # that read past n ask for that depth themselves first.
     # Counterexamples are returned in grid order.
     points = list(points)
     found = {}
@@ -126,130 +138,70 @@ def _series_grid(cases):
 
 
 # ----------------------------------------------------------------------
-# runners
+# grids, serieswise cases and countwise sides
 # ----------------------------------------------------------------------
 
 
-def _run_prop1(to, order, incl):
-    n_max = _pick(to, 200)
-    gf = cf.gf_a_m_sum(2, n_max + 2)
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1)),
-        lambda n: gf.coeff(n),
-        lambda n: cf.a2_via_p(n),
+def _n_points(N, incl):
+    return ({"n": n} for n in range(1, N + 1))
+
+
+def _n_grid(N, incl):
+    return f"1 <= n <= {N}"
+
+
+def _mn_points(m_max):
+    return lambda N, incl: (
+        {"m": m, "n": n} for m in range(2, m_max + 1) for n in range(1, N + 1)
     )
-    return pts, ces, f"1 <= n <= {n_max}"
 
 
-def _run_prop2(to, order, incl):
-    n_max = _pick(to, 25)
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1)),
-        lambda n: en.count_a(2, n),
-        lambda n: en.count_p_fixed_diff(2 * n, n),
-    )
-    return pts, ces, f"1 <= n <= {n_max}"
+def _mn_grid(m_max):
+    return lambda N, incl: f"2 <= m <= {m_max}, 1 <= n <= {N}"
 
 
-def _run_prop3(to, order, incl):
-    n_max = _pick(to, 25)
-    pts, ces = _count_grid(
-        ({"m": m, "n": n} for m in range(2, 6) for n in range(1, n_max + 1)),
-        lambda m, n: en.count_a(m, n),
-        lambda m, n: en.count_a_diff(m - 1, 2 * n, n),
-    )
-    return pts, ces, f"2 <= m <= 5, 1 <= n <= {n_max}"
+def _p_comb_sides(m, formula):
+    # the deepest read first: the a_m generating function to N + 2
+    def sides(N):
+        gf = cf.gf_a_m_sum(m, N + 2)
+        return lambda n: gf.coeff(n), formula
+
+    return sides
 
 
-def _run_thmG1(to, order, incl):
-    n_max = _pick(to, 60)
-    pts, ces = _count_grid(
-        ({"m": m, "n": n} for m in range(2, 7) for n in range(1, n_max + 1)),
-        lambda m, n: en.count_a(m, n),
-        lambda m, n: cf.aG1_via_p(m, n),
-    )
-    return pts, ces, f"2 <= m <= 6, 1 <= n <= {n_max}"
+def _counted_a_cases(m_min, closed_form):
+    def cases(w, incl):
+        for m in range(m_min, 7):
+            counts = [en.count_a(m, n) for n in range(w - 1, 0, -1)]  # largest n first
+            counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
+            yield {"m": m}, counted, closed_form(m, w), range(1, w)
+
+    return cases
 
 
-def _make_run_p_comb(m, default_max, formula):
-    def run(to, order, incl):
-        n_max = _pick(to, default_max)
-        gf = cf.gf_a_m_sum(m, n_max + 2)
-        pts, ces = _count_grid(
-            ({"n": n} for n in range(1, n_max + 1)),
-            lambda n: gf.coeff(n),
-            lambda n: formula(n),
-        )
-        return pts, ces, f"1 <= n <= {n_max}"
-
-    return run
-
-
-def _run_eq_am(to, order, incl):
-    w = _pick(order, 60)
-    cases = []
-    for m in range(1, 7):
-        counts = [en.count_a(m, n) for n in range(w - 1, 0, -1)]  # largest n first
-        counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
-        cases.append(({"m": m}, counted, cf.gf_a_m_sum(m, w), range(1, w)))
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"1 <= m <= 6, coefficients below {w}"
-
-
-def _run_thm_am(to, order, incl):
-    w = _pick(order, 60)
-    cases = []
-    for m in range(2, 7):
-        counts = [en.count_a(m, n) for n in range(w - 1, 0, -1)]  # largest n first
-        counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
-        cases.append(({"m": m}, counted, cf.gf_a_m_thm(m, w), range(1, w)))
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"2 <= m <= 6, coefficients below {w}"
-
-
-def _run_thm_and(to, order, incl):
-    w = _pick(order, 60)
-    cases = []
+def _thm_and_cases(w, incl):
     for l in range(2, 9):
         for m in range(1, l):
             counted = LaurentSeries.from_coeffs(
                 [0] + [en.count_a_diff(m, n, l) for n in range(1, w)], 0, w
             )
-            cases.append(({"m": m, "l": l}, counted, cf.gf_a_m_diff(m, l, w), range(1, w)))
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"1 <= m < l <= 8, coefficients below {w}"
+            yield {"m": m, "l": l}, counted, cf.gf_a_m_diff(m, l, w), range(1, w)
 
 
-def _cauchy_rhs(a: Monomial, t: Monomial, w: int) -> LaurentSeries:
-    num = poch_infinite(a.times(t), 1, w)
-    return num.mul(poch_infinite(t, 1, w).inverse(w))
-
-
-def _run_cauchy(to, order, incl):
-    w = _pick(order, 50)
-    cases = []
+def _cauchy_cases(w, incl):
     for a in _MONOS:
         for t in _MONOS:
             lhs = q_hyper_sum((a,), (), t, w)
-            cases.append(({"a": a, "t": t}, lhs, _cauchy_rhs(a, t, w), range(w)))
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"a, t monomials, coefficients below {w}"
+            rhs = poch_infinite(a.times(t), 1, w).mul(poch_infinite(t, 1, w).inverse(w))
+            yield {"a": a, "t": t}, lhs, rhs, range(w)
 
 
-def _run_cauchy_cor(to, order, incl):
-    w = _pick(order, 50)
-    cases = []
+def _cauchy_cor_cases(w, incl):
     for t in _MONOS:
-        lhs = q_hyper_sum((), (), t, w)
-        rhs = poch_infinite(t, 1, w).inverse(w)
-        cases.append(({"t": t}, lhs, rhs, range(w)))
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"t monomial, coefficients below {w}"
+        yield {"t": t}, q_hyper_sum((), (), t, w), poch_infinite(t, 1, w).inverse(w), range(w)
 
 
-def _run_heine(to, order, incl):
-    w = _pick(order, 50)
-    cases = []
+def _heine_cases(w, incl):
     for a in _MONOS:
         for b in _MONOS:
             for t in _MONOS:
@@ -265,168 +217,70 @@ def _run_heine(to, order, incl):
                     rhs = pref.mul(
                         q_hyper_sum((c_over_b, t), (a.times(t),), b, w)
                     ).truncate(w)
-                    cases.append(
-                        ({"a": a, "b": b, "t": t, "c": c}, lhs, rhs, range(w))
-                    )
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"monomial grid with c in {{0, q^(e_t+1)}}, coefficients below {w}"
+                    yield {"a": a, "b": b, "t": t, "c": c}, lhs, rhs, range(w)
 
 
-def _run_heine2(to, order, incl):
-    w = _pick(order, 50)
-    cases = []
+def _heine2_cases(w, incl):
     for a in (Monomial.zero(), Monomial(1, 1), Monomial(-1, 1), Monomial(1, 2)):
         for b in (Monomial(1, 1), Monomial(-1, 1), Monomial(1, 2)):
             for z in (Monomial(1, 1), Monomial(1, 2), Monomial(1, 3)):
                 for extra in (0, 1):
                     c = Monomial(1, b.exp + z.exp + extra)
-                    abz_over_c = (
-                        Monomial.zero()
-                        if a.is_zero()
-                        else a.times(b).times(z).over(c)
-                    )
+                    abz_over_c = Monomial.zero() if a.is_zero() else a.times(b).times(z).over(c)
                     c_over_b = c.over(b)
                     lhs = q_hyper_sum((a, b), (c,), z, w)
-                    pref = poch_infinite(c_over_b, 1, w).mul(
-                        poch_infinite(b.times(z), 1, w)
-                    )
+                    pref = poch_infinite(c_over_b, 1, w).mul(poch_infinite(b.times(z), 1, w))
                     pref = pref.mul(poch_infinite(c, 1, w).inverse(w))
                     pref = pref.mul(poch_infinite(z, 1, w).inverse(w))
                     rhs = pref.mul(
                         q_hyper_sum((abz_over_c, b), (b.times(z),), c_over_b, w)
                     ).truncate(w)
-                    cases.append(
-                        ({"a": a, "b": b, "z": z, "c": c}, lhs, rhs, range(w))
-                    )
-    pts, ces = _series_grid(cases)
-    return pts, ces, f"monomial grid with c = q^(e_b+e_z+{{0,1}}), coefficients below {w}"
+                    yield {"a": a, "b": b, "z": z, "c": c}, lhs, rhs, range(w)
 
 
-def _run_qbinthm(to, order, incl):
-    w = _pick(order, 50)
-    cases = []
+def _qbinthm_cases(w, incl):
     for n in range(0, 9):
         for z in _MONOS:
             degree = 0 if z.is_zero() else n * z.exp + n * (n - 1) // 2
             weff = max(w, degree + 1)
             lhs, rhs = qbinomial_theorem_lhs_rhs(n, z, weff)
-            cases.append(({"n_index": n, "z": z}, lhs, rhs, range(weff)))
-    pts, ces = _series_grid(cases)
-    return pts, ces, "0 <= n <= 8, z monomial, exact polynomials"
+            yield {"n_index": n, "z": z}, lhs, rhs, range(weff)
 
 
-def _run_over_a2(to, order, incl):
-    n_max = _pick(to, 20)
-    en.count_pbar(n_max + 1)  # the deepest read: sweep the overpartition key once
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1)),
+def _over_a2_sides(N):
+    en.count_pbar(N + 1)  # the deepest read: sweep the overpartition key once
+    return (
         lambda n: en.count_abar(2, n),
         lambda n: 2 * en.count_pbar(n) - en.count_pbar(n + 1) + en.count_ubar(n + 1),
     )
-    return pts, ces, f"1 <= n <= {n_max}"
 
 
-def _run_over1(to, order, incl):
-    n_max = _pick(to, 16)
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1)),
-        lambda n: 2 * en.count_abar(2, n),
-        lambda n: en.count_pbar_diff(2 * n, n),
-    )
-    return pts, ces, f"1 <= n <= {n_max}"
-
-
-def _run_over_gen(to, order, incl):
-    n_max = _pick(to, 14)
-    pts, ces = _count_grid(
-        ({"m": m, "n": n} for m in range(2, 5) for n in range(1, n_max + 1)),
-        lambda m, n: 2 * en.count_abar(m, n),
-        lambda m, n: en.count_abar_diff(m - 1, 2 * n, n),
-    )
-    return pts, ces, f"2 <= m <= 4, 1 <= n <= {n_max}"
-
-
-def _run_reg_a2(to, order, incl):
-    n_max = _pick(to, 60)
-    en.count_breg(2, n_max + 2)  # the deepest read: sweep the mod-2 key once
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1)),
+def _reg_a2_sides(N):
+    en.count_breg(2, N + 2)  # the deepest read: sweep the mod-2 key once
+    return (
         lambda n: en.count_areg(2, 2, n),
         lambda n: en.count_breg(2, n) + en.count_breg(2, n + 1) - en.count_breg(2, n + 2),
     )
-    return pts, ces, f"1 <= n <= {n_max}"
 
 
-def _run_reg_div(to, order, incl):
-    n_max = _pick(to, 48)
-    points = []
+def _reg_div_points(N, incl):
     for l in (2, 3, 4, 5):
-        for n in range(1, n_max + 1):
+        for n in range(1, N + 1):
             if incl or n % l == 0:
-                points.append({"m": 2, "l": l, "n": n})
+                yield {"m": 2, "l": l, "n": n}
     for l in (2, 3):
-        for n in range(1, n_max // 2 + 1):
+        for n in range(1, N // 2 + 1):
             if n % l == 0:
-                points.append({"m": 3, "l": l, "n": n})
-
-    def rhs(m, l, n):
-        if m == 2:
-            return en.count_breg_diff(l, 2 * n, n)
-        return en.count_areg_diff(m - 1, l, 2 * n, n)
-
-    pts, ces = _count_grid(
-        points, lambda m, l, n: en.count_areg(m, l, n), rhs
-    )
-    grid = f"m=2: l in 2..5, n <= {n_max}; m=3: l in 2..3, n <= {n_max // 2}"
-    grid += " (all n)" if incl else " (l | n only)"
-    return pts, ces, grid
+                yield {"m": 3, "l": l, "n": n}
 
 
-def _run_reg_odd(to, order, incl):
-    n_max = _pick(to, 31)
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1, 2)),
-        lambda n: en.count_areg(2, 2, n),
-        lambda n: en.count_breg_diff(2, 2 * n + 1, n + 1),
-    )
-    return pts, ces, f"odd n <= {n_max}"
+def _ubar_gf_cases(w, incl):
+    counted = LaurentSeries.from_coeffs([0] + [en.count_ubar(n) for n in range(1, w)], 0, w)
+    yield {}, counted, cf.gf_ubar(w), range(1, w)
 
 
-def _run_reg_nondiv(to, order, incl):
-    n_max = _pick(to, 30)
-    points = [
-        {"m": m, "l": l, "n": n}
-        for m in range(2, 5)
-        for l in (2, 3, 4)
-        for n in range(1, n_max + 1)
-        if n % l != 0
-    ]
-
-    def rhs(m, l, n):
-        r = n % l
-        return en.count_areg_diff(m - 1, l, 2 * n + l - r, n + l - r)
-
-    pts, ces = _count_grid(points, lambda m, l, n: en.count_areg(m, l, n), rhs)
-    return pts, ces, f"2 <= m <= 4, l in 2..4, n <= {n_max} with l not dividing n"
-
-
-def _run_remark7(to, order, incl):
-    n_max = _pick(to, 60)
-    pts, ces = _count_grid(
-        ({"n": n} for n in range(1, n_max + 1)),
-        lambda n: en.count_p_fixed_diff(2 * n, n),
-        lambda n: cf.remark7_rhs(n),
-    )
-    return pts, ces, f"1 <= n <= {n_max}"
-
-
-def _run_ubar_gf(to, order, incl):
-    w = _pick(order, 26)
-    counted = LaurentSeries.from_coeffs(
-        [0] + [en.count_ubar(n) for n in range(1, w)], 0, w
-    )
-    pts, ces = _series_grid([({}, counted, cf.gf_ubar(w), range(1, w))])
-    return pts, ces, f"coefficients 1 <= n < {w}"
+def _areg(m, l, n):
+    return en.count_areg(m, l, n)
 
 
 # ----------------------------------------------------------------------
@@ -436,73 +290,110 @@ def _run_ubar_gf(to, order, incl):
 _REGISTRY: list[Identity] = [
     Identity("prop1", "countwise",
              "a_2(n) = 2p(n) - p(n+1)",
-             "1 <= n <= 200", _run_prop1),
+             200, _n_grid, _n_points,
+             _p_comb_sides(2, lambda n: cf.a2_via_p(n))),
     Identity("prop2", "countwise",
              "a_2(n) = p(2n, n)",
-             "1 <= n <= 25", _run_prop2),
+             25, _n_grid, _n_points,
+             lambda N: (lambda n: en.count_a(2, n),
+                        lambda n: en.count_p_fixed_diff(2 * n, n))),
     Identity("prop3", "countwise",
              "a_m(n) = a_{m-1}(2n, n)",
-             "2 <= m <= 5, 1 <= n <= 25", _run_prop3),
+             25, _mn_grid(5), _mn_points(5),
+             lambda N: (lambda m, n: en.count_a(m, n),
+                        lambda m, n: en.count_a_diff(m - 1, 2 * n, n))),
     Identity("thmG1", "countwise",
              "a_m(n) = 2p(n) - p(n+1) - p(n-2) + p(n-m) - sum Q_{l,k}(n)",
-             "2 <= m <= 6, 1 <= n <= 60", _run_thmG1),
+             60, _mn_grid(6), _mn_points(6),
+             lambda N: (lambda m, n: en.count_a(m, n),
+                        lambda m, n: cf.aG1_via_p(m, n))),
     Identity("thm_a3", "countwise",
              "a_3(n) = 3p(n) - p(n+1) - 2p(n+2) + p(n+3)",
-             "1 <= n <= 120", _make_run_p_comb(3, 120, cf.a3_via_p)),
+             120, _n_grid, _n_points,
+             _p_comb_sides(3, lambda n: cf.a3_via_p(n))),
     Identity("thm_a4", "countwise",
              "a_4(n) = 4p(n) - p(n+1) - 2p(n+2) - 2p(n+3) + p(n+4) + 2p(n+5) - p(n+6)",
-             "1 <= n <= 120", _make_run_p_comb(4, 120, cf.a4_via_p)),
+             120, _n_grid, _n_points,
+             _p_comb_sides(4, lambda n: cf.a4_via_p(n))),
     Identity("eq_am", "serieswise",
              "sum a_m(n) q^n = sum_k q^(k+m)/(q)_{k+m} prod_{i<m}(1-q^(k+i))",
-             "1 <= m <= 6, order 60", _run_eq_am),
+             60, lambda w, incl: f"1 <= m <= 6, coefficients below {w}",
+             _counted_a_cases(1, lambda m, w: cf.gf_a_m_sum(m, w))),
     Identity("thm_am", "serieswise",
              "sum a_m(n) q^n = pos. part of bracket_m/(q)_inf",
-             "2 <= m <= 6, order 60", _run_thm_am),
+             60, lambda w, incl: f"2 <= m <= 6, coefficients below {w}",
+             _counted_a_cases(2, lambda m, w: cf.gf_a_m_thm(m, w))),
     Identity("thm_and", "serieswise",
              "sum a_m(n,l) q^n equals its Gaussian-binomial closed form",
-             "1 <= m < l <= 8, order 60", _run_thm_and),
+             60, lambda w, incl: f"1 <= m < l <= 8, coefficients below {w}",
+             _thm_and_cases),
     Identity("cauchy", "serieswise",
              "sum (a)_k t^k/(q)_k = (at)_inf/(t)_inf",
-             "monomial a, t; order 50", _run_cauchy),
+             50, lambda w, incl: f"a, t monomials, coefficients below {w}",
+             _cauchy_cases),
     Identity("cauchy_cor", "serieswise",
              "sum t^k/(q)_k = 1/(t)_inf",
-             "monomial t; order 50", _run_cauchy_cor),
+             50, lambda w, incl: f"t monomial, coefficients below {w}",
+             _cauchy_cor_cases),
     Identity("heine", "serieswise",
              "sum (a)_k(b)_k t^k/((q)_k(c)_k) = (b)(at)/((c)(t)) sum (c/b)_k(t)_k b^k/((q)_k(at)_k)",
-             "monomial grid; order 50", _run_heine),
+             50, lambda w, incl: "monomial grid with c in {0, q^(e_t+1)}, "
+                                 f"coefficients below {w}",
+             _heine_cases),
     Identity("heine2", "serieswise",
              "sum (a)_k(b)_k z^k/((q)_k(c)_k) = (c/b)(bz)/((c)(z)) sum (abz/c)_j(b)_j(c/b)^j/((q)_j(bz)_j)",
-             "monomial grid; order 50", _run_heine2),
+             50, lambda w, incl: "monomial grid with c = q^(e_b+e_z+{0,1}), "
+                                 f"coefficients below {w}",
+             _heine2_cases),
     Identity("qbinthm", "serieswise",
              "(z)_n = sum_j qbin(n,j) (-1)^j z^j q^(j(j-1)/2)",
-             "0 <= n <= 8, monomial z", _run_qbinthm),
+             50, lambda w, incl: "0 <= n <= 8, z monomial, exact polynomials",
+             _qbinthm_cases),
     Identity("over_a2", "countwise",
              "abar_2(n) = 2pbar(n) - pbar(n+1) + ubar(n+1)",
-             "1 <= n <= 20", _run_over_a2),
+             20, _n_grid, _n_points, _over_a2_sides),
     Identity("over1", "countwise",
              "2 abar_2(n) = pbar(2n, n)",
-             "1 <= n <= 16", _run_over1),
+             16, _n_grid, _n_points,
+             lambda N: (lambda n: 2 * en.count_abar(2, n),
+                        lambda n: en.count_pbar_diff(2 * n, n))),
     Identity("over_gen", "countwise",
              "2 abar_m(n) = abar_{m-1}(2n, n)",
-             "2 <= m <= 4, 1 <= n <= 14", _run_over_gen),
+             14, _mn_grid(4), _mn_points(4),
+             lambda N: (lambda m, n: 2 * en.count_abar(m, n),
+                        lambda m, n: en.count_abar_diff(m - 1, 2 * n, n))),
     Identity("reg_a2", "countwise",
              "a_{2(2)}(n) = b_2(n) + b_2(n+1) - b_2(n+2)",
-             "1 <= n <= 60", _run_reg_a2),
+             60, _n_grid, _n_points, _reg_a2_sides),
     Identity("reg_div", "countwise",
              "a_{m(l)}(n) = a_{m-1(l)}(2n, n) for l | n (m=2 gives b_l(2n,n))",
-             "l in 2..5 with l | n <= 48", _run_reg_div),
+             48, lambda N, incl: f"m=2: l in 2..5, n <= {N}; m=3: l in 2..3, n <= {N // 2}"
+                                 + (" (all n)" if incl else " (l | n only)"),
+             _reg_div_points,
+             lambda N: (_areg, lambda m, l, n: en.count_breg_diff(l, 2 * n, n) if m == 2
+                        else en.count_areg_diff(m - 1, l, 2 * n, n))),
     Identity("reg_odd", "countwise",
              "a_{2(2)}(n) = b_2(2n+1, n+1) for odd n",
-             "odd n <= 31", _run_reg_odd),
+             31, lambda N, incl: f"odd n <= {N}",
+             lambda N, incl: ({"n": n} for n in range(1, N + 1, 2)),
+             lambda N: (lambda n: en.count_areg(2, 2, n),
+                        lambda n: en.count_breg_diff(2, 2 * n + 1, n + 1))),
     Identity("reg_nondiv", "countwise",
              "a_{m(l)}(n) = a_{(m-1)(l)}(2n+l-r, n+l-r), r = n mod l != 0",
-             "2 <= m <= 4, l in 2..4, n <= 30", _run_reg_nondiv),
+             30, lambda N, incl: f"2 <= m <= 4, l in 2..4, n <= {N} with l not dividing n",
+             lambda N, incl: ({"m": m, "l": l, "n": n} for m in range(2, 5)
+                              for l in (2, 3, 4) for n in range(1, N + 1) if n % l != 0),
+             lambda N: (_areg, lambda m, l, n: en.count_areg_diff(
+                 m - 1, l, 2 * n + l - n % l, n + l - n % l))),
     Identity("remark7", "countwise",
              "p(2n, n) = 1 + p(n-2) + sum_{m=2}^{floor(n/3)} p*_m(n-2m)",
-             "1 <= n <= 60", _run_remark7),
+             60, _n_grid, _n_points,
+             lambda N: (lambda n: en.count_p_fixed_diff(2 * n, n),
+                        lambda n: cf.remark7_rhs(n))),
     Identity("ubar_gf", "serieswise",
              "sum ubar(n) q^n = 2 sum_k (q^(2k+1)/(q^(k+1);q)_1 + sum_t q^(3k+2t-1)(1+q)(-q^(k+1);q)_{t-2}/(q^(k+1);q)_t)",
-             "coefficients below 26", _run_ubar_gf),
+             26, lambda w, incl: f"coefficients 1 <= n < {w}",
+             _ubar_gf_cases),
 ]
 
 
@@ -522,35 +413,41 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
            include_nondivisible: bool = False) -> VerificationReport:
     """Check one identity over its grid (or the overridden one).
 
-    Grid evaluation is deterministic; mismatches are collected in grid
-    order.  An override the identity cannot honor (a negative ``to`` for a
-    countwise entry, an ``order`` below 1 for a serieswise one, or a
-    window the series layer rejects) comes back as a skipped report; any
+    The bound is ``to`` for a countwise entry and ``order`` for a
+    serieswise one, else the entry's default.  Grid evaluation is
+    deterministic; mismatches are collected in grid order.  An override the
+    identity cannot honor (a negative ``to`` for a countwise entry, an
+    ``order`` below 1 for a serieswise one, or a window the series layer
+    rejects) comes back as a skipped report over the default grid; any
     other error is a fault and propagates.
     """
     ident = get_identity(identity_id)
     start = time.perf_counter()
+    incl = include_nondivisible
+    countwise = ident.kind == "countwise"
+    bound = to if countwise else order
+    if bound is None:
+        bound = ident.bound
 
-    def skipped(reason: str) -> VerificationReport:
+    def report(status, grid_bound, points=0, ces=(), reason=""):
         return VerificationReport(
-            identity=ident.id, grid=ident.grid_desc, status="skipped",
-            points=0, counterexamples=[], seconds=time.perf_counter() - start,
-            reason=reason,
+            identity=ident.id, grid=ident.grid(grid_bound, incl), status=status,
+            points=points, counterexamples=list(ces),
+            seconds=time.perf_counter() - start, reason=reason,
         )
 
-    if ident.kind == "countwise" and to is not None and to < 0:
-        return skipped("to must be non-negative")
-    if ident.kind == "serieswise" and order is not None and order < 1:
-        return skipped("order must be at least 1")
+    if countwise and bound < 0:
+        return report("skipped", ident.bound, reason="to must be non-negative")
+    if not countwise and bound < 1:
+        return report("skipped", ident.bound, reason="order must be at least 1")
     try:
-        points, ces, grid = ident.runner(to, order, include_nondivisible)
+        if countwise:
+            points, ces = _count_grid(ident.points(bound, incl), *ident.sides(bound))
+        else:
+            points, ces = _series_grid(ident.points(bound, incl))
     except SeriesError as exc:
-        return skipped(str(exc))
-    status = "verified" if not ces else "refuted"
-    return VerificationReport(
-        identity=ident.id, grid=grid, status=status, points=points,
-        counterexamples=ces, seconds=time.perf_counter() - start,
-    )
+        return report("skipped", ident.bound, reason=str(exc))
+    return report("refuted" if ces else "verified", bound, points, ces)
 
 
 # ----------------------------------------------------------------------

@@ -208,7 +208,10 @@ class LaurentSeries:
         return self.add(other.neg())
 
     def scale(self, c: int) -> "LaurentSeries":
-        """Multiply every coefficient by the integer c."""
+        """Multiply every coefficient by the integer c; values are frozen, so
+        scaling by 1 returns this value itself."""
+        if c == 1:
+            return self
         return LaurentSeries(self.min_exp, tuple([c * x for x in self.coeffs]), self.trunc_order)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from qpartitions import enumeration as en
 from qpartitions.cli import main
@@ -114,16 +117,24 @@ def test_verify_all_reduced_grid(capsys):
     assert ids == [ident.id for ident in registry()]
 
 
-def test_verify_jobs_deterministic(capsys):
-    ids = ["prop2", "over1", "reg_odd", "remark7"]
-    code1, out1, _ = run_cli(capsys, "verify", *ids, "--to", "8")
-    code2, out2, _ = run_cli(capsys, "verify", *ids, "--to", "8", "--jobs", "4")
+DATA = Path(__file__).parent / "data"
 
-    def strip_timing(text):
-        return [line.split("(")[0] for line in text.splitlines()]
 
-    assert strip_timing(out1) == strip_timing(out2)
-    assert code1 == code2
+@pytest.mark.parametrize("argv, recorded", [
+    (("all", "--to", "6", "--order", "12"), "verify_all_to6_order12.jsonl"),
+    (("reg_div", "--to", "12", "--include-nondivisible"),
+     "verify_reg_div_to12_nondivisible.jsonl"),
+])
+def test_verify_reports_match_recorded(capsys, argv, recorded):
+    # every field but seconds, grid text included, as recorded from the
+    # runner-per-identity engine this catalog replaced
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    for r in reports:
+        del r["seconds"]
+    expected = [json.loads(line) for line in (DATA / recorded).read_text().splitlines()]
+    assert reports == expected
 
 
 def test_series_command(capsys):
@@ -150,6 +161,14 @@ def test_series_env_order(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "series", "1/poch(q;1;inf)")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+def test_series_env_order_not_an_integer(capsys, monkeypatch):
+    # a usage error (exit 2), not a traceback read as "refuted" (exit 1)
+    monkeypatch.setenv("QPARTITIONS_ORDER", "abc")
+    code, out, err = run_cli(capsys, "series", "1/poch(q;1;inf)")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "QPARTITIONS_ORDER" in err and "'abc'" in err
 
 
 def test_cache_workflow(tmp_path, capsys):
@@ -254,3 +273,4 @@ def test_module_entry_point():
 def test_usage_exit_code_from_argparse(capsys):
     assert main(["seq"]) == 2  # missing required arguments
     assert main([]) == 2
+    assert main(["verify", "prop1", "--jobs", "2"]) == 2  # no such option

@@ -20,6 +20,33 @@ EXPECTED_IDS = [
     "reg_odd", "reg_nondiv", "remark7", "ubar_gf",
 ]
 
+# the grid text of every default run, as the catalog has always reported it
+DEFAULT_GRIDS = {
+    "prop1": "1 <= n <= 200",
+    "prop2": "1 <= n <= 25",
+    "prop3": "2 <= m <= 5, 1 <= n <= 25",
+    "thmG1": "2 <= m <= 6, 1 <= n <= 60",
+    "thm_a3": "1 <= n <= 120",
+    "thm_a4": "1 <= n <= 120",
+    "eq_am": "1 <= m <= 6, coefficients below 60",
+    "thm_am": "2 <= m <= 6, coefficients below 60",
+    "thm_and": "1 <= m < l <= 8, coefficients below 60",
+    "cauchy": "a, t monomials, coefficients below 50",
+    "cauchy_cor": "t monomial, coefficients below 50",
+    "heine": "monomial grid with c in {0, q^(e_t+1)}, coefficients below 50",
+    "heine2": "monomial grid with c = q^(e_b+e_z+{0,1}), coefficients below 50",
+    "qbinthm": "0 <= n <= 8, z monomial, exact polynomials",
+    "over_a2": "1 <= n <= 20",
+    "over1": "1 <= n <= 16",
+    "over_gen": "2 <= m <= 4, 1 <= n <= 14",
+    "reg_a2": "1 <= n <= 60",
+    "reg_div": "m=2: l in 2..5, n <= 48; m=3: l in 2..3, n <= 24 (l | n only)",
+    "reg_odd": "odd n <= 31",
+    "reg_nondiv": "2 <= m <= 4, l in 2..4, n <= 30 with l not dividing n",
+    "remark7": "1 <= n <= 60",
+    "ubar_gf": "coefficients 1 <= n < 26",
+}
+
 
 def test_registry_shape():
     idents = registry()
@@ -29,7 +56,22 @@ def test_registry_shape():
     for ident in idents:
         assert ident.kind in ("countwise", "serieswise")
         assert ident.statement
-        assert callable(ident.runner)
+        assert isinstance(ident.bound, int) and ident.bound > 0
+        assert callable(ident.grid) and callable(ident.points)
+        # sides belong to countwise entries; serieswise cases carry both
+        assert callable(ident.sides) == (ident.kind == "countwise")
+
+
+def test_default_grids_without_running():
+    assert list(DEFAULT_GRIDS) == EXPECTED_IDS
+    for ident in registry():
+        assert ident.grid(ident.bound, False) == DEFAULT_GRIDS[ident.id]
+
+
+def test_skipped_report_shows_default_grid():
+    for identity_id, grid in DEFAULT_GRIDS.items():
+        r = verify(identity_id, to=-1, order=0)
+        assert r.status == "skipped" and r.grid == grid, identity_id
 
 
 def test_unknown_identity():
@@ -45,38 +87,6 @@ def test_every_entry_runs_on_reduced_grid(identity_id):
     assert report.grid
     if report.status == "refuted":
         assert identity_id == "remark7"
-
-
-def test_concurrent_counting_matches_serial():
-    # pure counters and lock-guarded caches: hammering them from threads
-    # must reproduce the serial values
-    from concurrent.futures import ThreadPoolExecutor
-
-    from qpartitions.enumeration import (
-        _hists, count_a, count_abar, count_breg_diff, count_p_fixed_diff,
-    )
-
-    _hists.clear()  # exercise concurrent growth from a cold cache
-    jobs = [("a", m, n) for m in (1, 2, 3) for n in range(1, 25)]
-    jobs += [("abar", m, n) for m in (1, 2) for n in range(1, 15)]
-    jobs += [("bregd", l, n) for l in (2, 3) for n in range(1, 20)]
-    jobs += [("pdiff", 2, n) for n in range(1, 16)]
-
-    def run(job):
-        kind, x, n = job
-        if kind == "a":
-            return count_a(x, n)
-        if kind == "abar":
-            return count_abar(x, n)
-        if kind == "pdiff":
-            return count_p_fixed_diff(x * n, n)
-        return count_breg_diff(x, n, 2)
-
-    serial = [run(j) for j in jobs]
-    for _ in range(3):
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(run, jobs * 4))
-        assert parallel == serial * 4
 
 
 def test_verify_prop1_small():
@@ -126,7 +136,7 @@ def test_skipped_report_on_impossible_override():
     assert r.status == "skipped"
     assert r.reason
     assert r.counterexamples == []
-    # out-of-range overrides are rejected before the runner starts
+    # out-of-range overrides are rejected before the grid runs
     for identity_id, kw in (("prop2", {"to": -1}), ("qbinthm", {"order": 0})):
         r = verify(identity_id, **kw)
         assert r.status == "skipped" and r.points == 0 and r.reason

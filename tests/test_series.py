@@ -282,6 +282,7 @@ def test_kernels_match_schoolbook_wide():
         assert a.mul_binomial(c, j) == _ref_mul_binomial(a, c, j)
         assert a.div_binomial(c, j) == _ref_div_binomial(a, c, j)
         assert a.scale(c).coeffs == tuple(c * x for x in a.coeffs)
+        assert a.scale(1) is a  # values are frozen: no copy of the window
         # a padded with leading zeros, and then with its last coefficient off
         padded = LS(a.min_exp - 2, (0, 0) + a.coeffs, a.trunc_order)
         assert a.eq_to(padded, a.trunc_order) and padded.eq_to(a, a.trunc_order)
