@@ -152,16 +152,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    order = args.order
+    order, source = args.order, "--order"
     if order is None:
+        source = f"${ENV_ORDER}"
         try:
             order = int(os.environ.get(ENV_ORDER, "10"))
         except ValueError:
             return _usage_error(
-                f"${ENV_ORDER} must be an integer, not {os.environ[ENV_ORDER]!r}"
+                f"{source} must be an integer, not {os.environ[ENV_ORDER]!r}"
             )
     if order < 1:
-        return _usage_error("--order must be at least 1")
+        return _usage_error(f"{source} must be at least 1")
     try:
         result = eval_text(args.expr, order)
     except (DslSyntaxError, DslEvalError) as exc:

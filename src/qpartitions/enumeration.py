@@ -7,6 +7,13 @@ overlined copy listed first among equal values.
 The counting functions enumerate run-encoded partitions (distinct value,
 multiplicity) with an explicit stack and tally histograms keyed by the
 multiplicity of the smallest part, visiting each counted partition once.
+Each counted partition (for overpartitions, each base partition, weighted
+2^runs) gets its own increment, made when its last run is added; no count
+is derived in closed form.  What keeps the per-partition cost down: a run
+of the least allowed value ends its partition, so a plain sweep tallies
+those runs (most of its partitions) in a loop without push tests, and a
+fixed-difference sweep steps the copies of a middle value in a bare
+``while`` loop, since most middle values fit only a few times.
 A sweep tallies only what its callers read: a fixed-difference sweep
 counts the partitions of the one n asked for, and a sweep without a
 difference covers every n up to a bound, which a caller reading a range
@@ -114,32 +121,39 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
     # For overpartitions each value run may carry one overline: weight 2^runs.
     # The flat per-n lists become histogram dicts once, at the end.
     T = [[0] * (n // lo + 1) for n in range(nmax + 1)]
+    top = nmax - lo  # a prefix summing to more has no room for another run
     w0 = 2 if over else 1
     stack = [(nmax + 1, 0, w0)]
     push = stack.append
     pop = stack.pop
     while stack:
         prev, used, w = pop()
-        avail = nmax - used
         v = prev - 1
-        if v > avail:
-            v = avail
+        if v > nmax - used:
+            v = nmax - used
         w2 = w + w if over else w
-        while v >= lo:
+        while v > lo:
             if mod and v % mod == 0:
                 v -= 1
                 continue
-            cmax = avail // v
-            u = used + v
-            extend = v > lo
             c = 1
-            while c <= cmax:
+            for u in range(used + v, nmax + 1, v):
                 T[u][c] += w
-                if extend and nmax - u >= lo:
+                if u <= top:
                     push((v, u, w2))
                 c += 1
-                u += v
             v -= 1
+        # A run of lo, the least allowed value, ends its partition: no
+        # smaller value may follow, so these runs are tallied apart, after
+        # the larger values, without a push test.  Each such partition
+        # still gets one increment, from the one prefix it extends; they
+        # are 5.67M of the 6.64M partitions up to 60.  A lo that mod
+        # divides is excluded like any other value.
+        if v == lo and not (mod and lo % mod == 0):
+            c = 1
+            for u in range(used + lo, nmax + 1, lo):
+                T[u][c] += w
+                c += 1
     return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
 
 
@@ -185,11 +199,17 @@ def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool):
                     v -= 1
                     continue
                 extend = v - 1 > floor
-                for r in range(rem - v, floor - 1, -v):
+                # copies of v, r being what is left after each; a bare loop,
+                # because v mostly fits only a few times (remark7's 60
+                # sweeps: 2.22M prefix and value pairs, 6.25M copies) and
+                # building a range per pair cost more than stepping
+                r = rem - v
+                while r >= floor:
                     if r % floor == 0:
                         tally[r // floor] += w
                     if extend and r > twice:
                         push((v, r, w))
+                    r -= v
                 v -= 1
     H[nmax] = {c: cnt for c, cnt in enumerate(tally) if cnt}
     return H

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,17 @@ def test_series_env_order_not_an_integer(capsys, monkeypatch):
     assert err.startswith("error: ") and "QPARTITIONS_ORDER" in err and "'abc'" in err
 
 
+def test_series_order_below_one_names_its_source(capsys, monkeypatch):
+    # the range check blames the flag or the variable the value came from
+    monkeypatch.setenv("QPARTITIONS_ORDER", "0")
+    code, out, err = run_cli(capsys, "series", "1/poch(q;1;inf)")
+    assert code == 2 and out == ""
+    assert err == "error: $QPARTITIONS_ORDER must be at least 1\n"
+    code, out, err = run_cli(capsys, "series", "1/poch(q;1;inf)", "--order", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --order must be at least 1\n"
+
+
 def test_cache_workflow(tmp_path, capsys):
     path = tmp_path / "p.json"
     code, out, _ = run_cli(capsys, "cache", "warm", "--cache", str(path), "--to", "60")
@@ -260,10 +272,14 @@ def test_cache_needs_path(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(en.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qpartitions", "seq", "p", "--from", "0", "--to", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert [line.split()[1] for line in proc.stdout.strip().splitlines()] == \

@@ -1,10 +1,13 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from qpartitions.enumeration import (
     PartitionFilter,
     _hists,
+    _sweep_diff,
     _sweep_plain,
     count_Q,
     count_a,
@@ -297,3 +300,27 @@ def test_plain_sweep_tallies_match_generators(lo, mod, over):
             values = [p[0] for p in parts] if over else parts
             want[values.count(values[-1])] += 1
         assert hists[n] == want, n
+
+
+# Histograms at catalog scale, recorded from the sweep kernels before their
+# leaf-run and single-copy fast paths existed; the generator cross-checks
+# above stop at n <= 30 and N <= 36.
+PINS = json.loads((Path(__file__).parent / "data" / "sweep_histograms.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS["diff"], ids=lambda e: str(e["args"]))
+def test_exact_target_diff_tallies_match_recorded(pin):
+    n = pin["args"][0]
+    hists = _sweep_diff(*pin["args"])
+    assert hists[n] == {c: cnt for c, cnt in pin["hist"]}
+    assert not any(hists[:n])
+
+
+def test_plain_sweep_tallies_match_recorded():
+    (pin,) = PINS["plain"]
+    hists = _sweep_plain(*pin["args"])
+    assert hists == [{c: cnt for c, cnt in h} for h in pin["hists"]]
+    # the recurrence is independent of both the sweep and the recording
+    assert [sum(h.values()) for h in hists[1:]] == [
+        count_p(n) for n in range(1, len(hists))
+    ]
