@@ -411,18 +411,27 @@ def _pow(node: Pow, w: int) -> LaurentSeries:
         base = _ev(node.base, w)
         if base.min_exp < 0:
             base = _ev(node.base, w - (e - 1) * base.min_exp)
-        out = base
-        for _ in range(e - 1):
-            out = out.mul(base)
-        return out
+        return _power(base, e)
     inv = _invert(node, node.base, w)
     k = -e
     if k > 1 and inv.min_exp < 0:
         inv = _invert(node, node.base, w - (k - 1) * inv.min_exp)
-    out = inv
-    for _ in range(k - 1):
-        out = out.mul(inv)
-    return out
+    return _power(inv, k)
+
+
+def _power(base: LaurentSeries, e: int) -> LaurentSeries:
+    # Square-and-multiply, e >= 1.  For a base window [m, W) the product
+    # base^a * base^b has window [(a+b)m, W + (a+b-1)m) however e = a + b is
+    # split, so this is the repeated product, window and all, in at most
+    # 2 log2(e) products.
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out.mul(base)
+        e >>= 1
+        if not e:
+            return out
+        base = base.mul(base)
 
 
 def evaluate(ast, order: int) -> LaurentSeries:

@@ -19,6 +19,24 @@ counts the partitions of the one n asked for, and a sweep without a
 difference covers every n up to a bound, which a caller reading a range
 sets by asking for its largest n first (see ``_HistCache``).  ``count_p``
 alone uses the pentagonal-number recurrence.
+
+The u-bar counts are swept the same way.  An overpartition is a base
+partition plus a choice of overlined runs (at most one overline per value),
+so weighting each base partition by how many choices satisfy the side
+conditions of ``is_ubar_counted`` counts every u-bar overpartition exactly
+once, and each counted base partition is still tallied once.  For runs
+v1 > ... > vr with multiplicities c1 ... cr:
+
+- the smallest part must be overlined and alone, so only r >= 2 and
+  cr = 1 count, with run r overlined; every other run has a value above
+  vr >= 1, so no plain 1 can occur;
+- if c1 >= 2 the top two parts are equal, and runs 1 .. r-1 are free:
+  weight 2^(r-1);
+- if c1 = 1 the top two values must be consecutive (v2 = v1 - 1) and the
+  second part, the first copy of run 2, overlined, so run 2 is: weight 2
+  for r = 2 (run 1 free) and 2^(r-2) for r >= 3 (runs 1 and 3 .. r-1
+  free);
+- any other base partition has weight 0, and its subtree is never made.
 """
 
 from __future__ import annotations
@@ -215,6 +233,48 @@ def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool):
     return H
 
 
+def _sweep_ubar(nmax: int) -> list[int]:
+    # T[n] counts the u-bar overpartitions of n for every n <= nmax: each
+    # base partition is tallied once, when its last run is added as a
+    # single copy, by its number of admissible overline choices (see the
+    # module docstring).  A stacked prefix (prev, used, w) ends with a run
+    # of prev and leaves room for another run; w is the weight of closing
+    # it with one copy of a smaller value, and a run added without closing
+    # is free to carry an overline, so it doubles w.
+    T = [0] * (nmax + 1)
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    for v1 in range(2, nmax + 1):
+        # c1 >= 2: closing at r = 2 weighs 2^(r-1) = 2
+        for u in range(v1 + v1, nmax, v1):
+            push((v1, u, 2))
+        # c1 = 1: run 2 is v1 - 1, overlined; closing there weighs 2, and
+        # so does closing at r = 3 (2^(r-2))
+        v2 = v1 - 1
+        u = v1 + v2
+        if u <= nmax:
+            T[u] += 2
+            if v2 > 1:
+                for u in range(u, nmax, v2):
+                    push((v2, u, 2))
+    while stack:
+        prev, used, w = pop()
+        w2 = w + w
+        v = prev - 1
+        if v > nmax - used:
+            v = nmax - used
+        while v > 1:
+            u = used + v
+            T[u] += w
+            for u in range(u, nmax, v):
+                push((v, u, w2))
+            v -= 1
+        # a single 1 closes every prefix; nothing follows a run of 1
+        T[used + 1] += w
+    return T
+
+
 class _HistCache:
     """Memoised sweep results, keyed by the filter shape.
 
@@ -230,10 +290,12 @@ class _HistCache:
       for ascending n would otherwise sweep once per n.  Callers that read
       a range therefore ask for its largest n first, so that one sweep
       serves the whole range.
+    - The u-bar key holds per-n totals (``_sweep_ubar``) and grows like a
+      plain key.
     """
 
     def __init__(self) -> None:
-        self._plain: dict[tuple, tuple[int, list[dict[int, int]]]] = {}
+        self._plain: dict[tuple, tuple[int, list]] = {}
         self._diff: dict[tuple, dict[int, int]] = {}
 
     def get(self, n: int, *, lo: int = 1, mod: int | None = None,
@@ -247,16 +309,22 @@ class _HistCache:
                 hist = _sweep_diff(n, diff, lo, mod, over)[n]
                 self._diff[key] = hist
             return hist
-        key = (lo, mod, over)
+        return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
+
+    def ubar(self, n: int) -> int:
+        """The u-bar total of n >= 0, from a key grown like a plain one."""
+        return self._swept(("ubar",), n, _sweep_ubar)[n]
+
+    def _swept(self, key: tuple, n: int, sweep, *args) -> list:
         entry = self._plain.get(key)
         if entry is None or entry[0] < n:
             # modest headroom: enumeration cost grows so fast in the bound
             # that doubling would dwarf the queries themselves
             old = entry[0] if entry else 0
             nmax = max(n, 16, old + max(8, old // 8))
-            entry = (nmax, _sweep_plain(nmax, lo, mod, over))
+            entry = (nmax, sweep(nmax, *args))
             self._plain[key] = entry
-        return entry[1][n]
+        return entry[1]
 
     def clear(self) -> None:
         self._plain.clear()
@@ -414,7 +482,7 @@ def count_ubar(n: int) -> int:
     """Overpartitions of n satisfying the u-bar side conditions."""
     if n < 1:
         return 0
-    return sum(1 for op in gen_overpartitions(n) if is_ubar_counted(op))
+    return _hists.ubar(n)
 
 
 # ----------------------------------------------------------------------

@@ -275,7 +275,9 @@ def _reg_div_points(N, incl):
 
 
 def _ubar_gf_cases(w, incl):
-    counted = LaurentSeries.from_coeffs([0] + [en.count_ubar(n) for n in range(1, w)], 0, w)
+    # largest n first, so that the u-bar key is swept once
+    counts = [en.count_ubar(n) for n in range(w - 1, 0, -1)]
+    counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
     yield {}, counted, cf.gf_ubar(w), range(1, w)
 
 

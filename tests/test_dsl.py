@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qpartitions import dsl
 from qpartitions.dsl import (
     Add,
     Div,
@@ -20,6 +21,7 @@ from qpartitions.dsl import (
     parse,
 )
 from qpartitions.qobjects import Monomial
+from qpartitions.series import LaurentSeries
 
 
 def test_parse_examples():
@@ -165,3 +167,46 @@ def test_eval_total_at_large_order():
     s = eval_text("poch(q;1;inf)/poch(q^2;2;inf)", 200)
     t = eval_text("poch(q;2;inf)", 200)
     assert s.eq_to(t, 200)
+
+
+def _repeated(base, e):
+    out = base
+    for _ in range(e - 1):
+        out = out.mul(base)
+    return out
+
+
+@pytest.mark.parametrize("text", ["1-q+2*q^2", "q^-1+3", "poch(q;1;inf)", "qbin(5,2)"])
+def test_power_matches_repeated_product(monkeypatch, text):
+    # square-and-multiply gives the repeated product's window and coefficients
+    base = parse(text)
+    for e in [*range(1, 13), *range(-12, 0)]:
+        fast = dsl._ev(Pow(base, e), 15)
+        with monkeypatch.context() as m:
+            m.setattr(dsl, "_power", _repeated)
+            slow = dsl._ev(Pow(base, e), 15)
+        assert fast == slow, e
+
+
+def test_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = LaurentSeries.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "mul", counted)
+    # at most 2 ceil(log2 e) products; the benchmark's cubes and squares
+    # keep their 2 and 1
+    for text, products, support in (("q^1000", 20, []), ("q^-1000", 20, [-1000]),
+                                    ("poch(q;1;inf)^3", 2, None),
+                                    ("poch(-q;1;inf)^2", 1, None)):
+        calls.clear()
+        out = eval_text(text, 5)
+        assert len(calls) <= products, text
+        if support is None:
+            assert len(calls) == products, text
+        else:
+            exps = range(out.min_exp, out.trunc_order)
+            assert [e for e in exps if out.coeff(e)] == support, text

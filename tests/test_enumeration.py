@@ -9,6 +9,7 @@ from qpartitions.enumeration import (
     _hists,
     _sweep_diff,
     _sweep_plain,
+    _sweep_ubar,
     count_Q,
     count_a,
     count_a_diff,
@@ -324,3 +325,22 @@ def test_plain_sweep_tallies_match_recorded():
     assert [sum(h.values()) for h in hists[1:]] == [
         count_p(n) for n in range(1, len(hists))
     ]
+
+
+# u-bar counts for n <= 28, recorded from the overpartition generator
+# filtered by is_ubar_counted, before the weighted sweep replaced it.
+UBAR_PINS = json.loads((Path(__file__).parent / "data" / "ubar_counts.json").read_text())["ubar"]
+
+
+def test_ubar_sweep_matches_recorded():
+    assert _sweep_ubar(len(UBAR_PINS) - 1) == UBAR_PINS
+    _hists.clear()
+    assert [count_ubar(n) for n in range(len(UBAR_PINS))] == UBAR_PINS
+
+
+def test_ubar_sweep_matches_generator():
+    # the weights against the side conditions applied to every overpartition
+    totals = _sweep_ubar(26)
+    for n in range(27):
+        want = sum(1 for op in gen_overpartitions(n) if is_ubar_counted(op))
+        assert totals[n] == want, n

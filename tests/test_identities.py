@@ -1,7 +1,15 @@
 import pytest
 
+from qpartitions import cli
+from qpartitions import closed_forms as cf
 from qpartitions import enumeration as en
-from qpartitions.enumeration import PartitionFilter, gen_overpartitions, gen_partitions
+from qpartitions.enumeration import (
+    PartitionFilter,
+    _sweep_plain,
+    _sweep_ubar,
+    gen_overpartitions,
+    gen_partitions,
+)
 from qpartitions.identities import (
     UnknownIdentityError,
     VerificationReport,
@@ -12,6 +20,7 @@ from qpartitions.identities import (
     registry,
     verify,
 )
+from qpartitions.qobjects import Monomial, poch_infinite
 
 EXPECTED_IDS = [
     "prop1", "prop2", "prop3", "thmG1", "thm_a3", "thm_a4", "eq_am",
@@ -161,10 +170,10 @@ def record_sweeps(monkeypatch):
 
     def start(tally=True):
         calls = []
-        for name in ("_sweep_plain", "_sweep_diff"):
-            def spy(*args, _real=getattr(en, name), _name=name):
+        for name, empty in (("_sweep_plain", {}), ("_sweep_diff", {}), ("_sweep_ubar", 0)):
+            def spy(*args, _real=getattr(en, name), _name=name, _empty=empty):
                 calls.append((_name, args))
-                return _real(*args) if tally else [{}] * (args[0] + 1)
+                return _real(*args) if tally else [_empty] * (args[0] + 1)
 
             monkeypatch.setattr(en, name, spy)
         en._hists.clear()
@@ -207,6 +216,87 @@ def test_sweep_budget(record_sweeps):
     [en.count_a(2, n) for n in range(1, 61)]
     bounds = [args[0] for _, args in calls]
     assert len(bounds) <= 7 and max(bounds) <= 64
+
+
+def test_ubar_counts_sweep_without_the_generator(record_sweeps, monkeypatch, capsys):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("u-bar counts must not enumerate overpartitions")
+
+    monkeypatch.setattr(en, "gen_overpartitions", no_generator)
+    calls = record_sweeps()
+    assert verify("over_a2").status == "verified"
+    assert verify("ubar_gf").status == "verified"
+    depths = [args[0] for name, args in calls if name == "_sweep_ubar"]
+    assert 1 <= len(depths) <= 2 and max(depths) <= 32
+
+    en._hists.clear()
+    assert cli.main(["seq", "ubar", "--from", "1", "--to", "25"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [[str(n), str(cf.gf_ubar(26).coeff(n))] for n in range(1, 26)]
+
+
+def _witnesses(key, m, order):
+    """The closed form whose q^n coefficient is the >= m tally of key at n,
+    with n < order; None where the repository holds none."""
+    if key == "ubar":
+        return cf.gf_ubar(order) if m == 1 else None
+    lo, mod, over = key
+    if over:
+        return cf.gf_abar_m(m, order) if (lo, mod) == (1, None) else None
+    if mod is not None:
+        if lo != 1:
+            return None
+        return cf.gf_breg(mod, order) if m == 1 else cf.gf_areg(m, mod, order)
+    if lo == 1:
+        return cf.gf_a_m_sum(m, order)
+    return poch_infinite(Monomial(1, lo), 1, order).inverse(order) if m == 1 else None
+
+
+def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
+    # The (key, depth) pairs and the >= m tallies the default catalog reads,
+    # from a run with the sweeps stubbed out; each is then swept for real
+    # (the kernels imported above, not the stubs) and checked against a
+    # closed form, so that a kernel fault shared by both sides of an
+    # identity (over_a2, reg_a2) still shows.
+    reads = {}
+    last = []
+    get = en._HistCache.get
+
+    def spy_get(self, n, **kw):  # the plain key of the read that follows
+        plain = kw.get("diff") is None
+        last[:] = [(kw.get("lo", 1), kw.get("mod"), kw.get("over", False))] if plain else []
+        return get(self, n, **kw)
+
+    def spy_total(hist, m=1, _real=en._total):
+        if last:
+            reads.setdefault(last[0], set()).add(m)
+        return _real(hist, m)
+
+    monkeypatch.setattr(en._HistCache, "get", spy_get)
+    monkeypatch.setattr(en, "_total", spy_total)
+    calls = record_sweeps(tally=False)
+    for ident in registry():
+        verify(ident.id)
+    reads["ubar"] = {1}
+    swept = {(args[1:], args[0]) for name, args in calls if name == "_sweep_plain"}
+    swept |= {("ubar", args[0]) for name, args in calls if name == "_sweep_ubar"}
+    assert {key for key, _ in swept} == set(reads)
+
+    for key, depth in sorted(swept, key=str):
+        if key == "ubar":
+            hists = [{1: t} for t in _sweep_ubar(depth)]
+        else:
+            hists = _sweep_plain(depth, *key)
+        for m in sorted(reads[key] | {1}):
+            witness = _witnesses(key, m, depth + 1)
+            assert witness is not None, (key, m)
+            for n in range(1, depth + 1):
+                got = sum(cnt for c, cnt in hists[n].items() if c >= m)
+                assert got == witness.coeff(n), (key, depth, m, n)
+        if key == (1, None, False):
+            assert [sum(h.values()) for h in hists[1:]] == [
+                en.count_p(n) for n in range(1, depth + 1)
+            ]
 
 
 def test_report_invariants():
