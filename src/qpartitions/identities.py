@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import closed_forms as cf
@@ -188,17 +189,24 @@ def _thm_and_cases(w, incl):
             yield {"m": m, "l": l}, counted, cf.gf_a_m_diff(m, l, w), range(1, w)
 
 
+@lru_cache(maxsize=None)
+def _inverse_poch(a: Monomial, w: int) -> LaurentSeries:
+    # 1/(a; q)_inf on [0, w).  Values are frozen, so the case generators
+    # below share one inverse per distinct (a, w), as poch_infinite does.
+    return poch_infinite(a, 1, w).inverse(w)
+
+
 def _cauchy_cases(w, incl):
     for a in _MONOS:
         for t in _MONOS:
             lhs = q_hyper_sum((a,), (), t, w)
-            rhs = poch_infinite(a.times(t), 1, w).mul(poch_infinite(t, 1, w).inverse(w))
+            rhs = poch_infinite(a.times(t), 1, w).mul(_inverse_poch(t, w))
             yield {"a": a, "t": t}, lhs, rhs, range(w)
 
 
 def _cauchy_cor_cases(w, incl):
     for t in _MONOS:
-        yield {"t": t}, q_hyper_sum((), (), t, w), poch_infinite(t, 1, w).inverse(w), range(w)
+        yield {"t": t}, q_hyper_sum((), (), t, w), _inverse_poch(t, w), range(w)
 
 
 def _heine_cases(w, incl):
@@ -212,8 +220,8 @@ def _heine_cases(w, incl):
                     c_over_b = Monomial.zero() if c.is_zero() else c.over(b)
                     lhs = q_hyper_sum((a, b), (c,), t, w)
                     pref = poch_infinite(b, 1, w).mul(poch_infinite(a.times(t), 1, w))
-                    pref = pref.mul(poch_infinite(c, 1, w).inverse(w))
-                    pref = pref.mul(poch_infinite(t, 1, w).inverse(w))
+                    pref = pref.mul(_inverse_poch(c, w))
+                    pref = pref.mul(_inverse_poch(t, w))
                     rhs = pref.mul(
                         q_hyper_sum((c_over_b, t), (a.times(t),), b, w)
                     ).truncate(w)
@@ -230,8 +238,8 @@ def _heine2_cases(w, incl):
                     c_over_b = c.over(b)
                     lhs = q_hyper_sum((a, b), (c,), z, w)
                     pref = poch_infinite(c_over_b, 1, w).mul(poch_infinite(b.times(z), 1, w))
-                    pref = pref.mul(poch_infinite(c, 1, w).inverse(w))
-                    pref = pref.mul(poch_infinite(z, 1, w).inverse(w))
+                    pref = pref.mul(_inverse_poch(c, w))
+                    pref = pref.mul(_inverse_poch(z, w))
                     rhs = pref.mul(
                         q_hyper_sum((abz_over_c, b), (b.times(z),), c_over_b, w)
                     ).truncate(w)

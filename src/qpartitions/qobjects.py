@@ -3,15 +3,26 @@
 Pochhammer parameters are restricted to integer monomials c*q**e.  Every
 generating function assembled downstream factors through these few
 primitives, all of which return :class:`~qpartitions.series.LaurentSeries`
-values with exact integer coefficients.
+values with exact integer coefficients.  The Pochhammer products and
+``q_hyper_sum`` run on one coefficient list with the shared binomial list
+kernels of :mod:`qpartitions.series` and build a single series value at
+the end.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import LaurentSeries, NonInvertibleError, SeriesError, WindowError
+from .series import (
+    LaurentSeries,
+    NonInvertibleError,
+    SeriesError,
+    WindowError,
+    _div_binomial_list,
+    _mul_binomial_list,
+)
 
 
 class PochhammerError(SeriesError):
@@ -100,19 +111,20 @@ def poch_finite_window(a: Monomial, step: int, n: int, order: int) -> LaurentSer
         raise ValueError("step must be a positive integer")
     if order < 1:
         raise WindowError("order must be at least 1")
-    out = LaurentSeries.one(order)
     if a.is_zero():
-        return out
+        return LaurentSeries.one(order)
+    out = [1] + [0] * (order - 1)
     for i in range(n):
         e = a.exp + step * i
         if e >= order:
             break
         if e == 0:
-            # constant factor (1 - c), as in (1; q)_n which vanishes
-            out = out.scale(1 - a.coeff)
+            # the first factor is the constant (1 - c), as in (1; q)_n
+            # which vanishes; it multiplies the initial 1
+            out[0] = 1 - a.coeff
         else:
-            out = out.mul_binomial(a.coeff, e)
-    return out
+            _mul_binomial_list(out, a.coeff, e)
+    return LaurentSeries(0, tuple(out), order)
 
 
 @lru_cache(maxsize=None)
@@ -132,12 +144,10 @@ def poch_infinite(a: Monomial, step: int, order: int) -> LaurentSeries:
         raise PochhammerError(
             f"infinite product with parameter {a}: factors never truncate"
         )
-    out = LaurentSeries.one(order)
-    e = a.exp
-    while e < order:
-        out = out.mul_binomial(a.coeff, e)
-        e += step
-    return out
+    out = [1] + [0] * (order - 1)
+    for e in range(a.exp, order, step):
+        _mul_binomial_list(out, a.coeff, e)
+    return LaurentSeries(0, tuple(out), order)
 
 
 def multi_poch_infinite(params, step: int, order: int) -> LaurentSeries:
@@ -177,9 +187,12 @@ def q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
     """sum_{k>=0} prod_i (u_i)_k * t^k / ((q)_k * prod_j (l_j)_k), truncated.
 
     All parameters are integer monomials; zero parameters contribute the
-    constant Pochhammer 1.  Terms are updated incrementally (each step is a
-    few strided passes), and the sum stops once t^k leaves the window, so a
-    nonzero ``t`` must have positive exponent.
+    constant Pochhammer 1.  The sum stops once t^k leaves the window, so a
+    nonzero ``t`` must have positive exponent.  The term recurrence runs on
+    one coefficient list with the shared binomial list kernels, and one
+    series value is built at the end.  Term k is added at exponent
+    k*t.exp, so before step k it is cut to its order - k*t.exp live
+    coefficients; every update is causal, so the cut is exact.
     """
     if order < 1:
         raise WindowError("order must be at least 1")
@@ -189,32 +202,40 @@ def q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
         raise PochhammerError(f"series in powers of {t} does not truncate")
     uppers = [u for u in uppers if not u.is_zero()]
     lowers = [l for l in lowers if not l.is_zero()]
-    acc = LaurentSeries.one(order)
-    term = LaurentSeries.one(order)
-    k = 1
-    while k * t.exp < order:
+    acc = [1] + [0] * (order - 1)
+    term = acc[:]
+    k, off = 1, t.exp
+    while off < order:
+        live = order - off  # a binomial (1 - c*q^e) with e >= live acts as 1
+        del term[live:]
+        scale = t.coeff
         for u in uppers:
             e = u.exp + k - 1
             if e == 0:
-                term = term.scale(1 - u.coeff)
-            elif e < order:
-                term = term.mul_binomial(u.coeff, e)
-        term = term.div_binomial(1, k)
+                scale *= 1 - u.coeff
+            elif e < live:
+                _mul_binomial_list(term, u.coeff, e)
+        if k < live:
+            _div_binomial_list(term, 1, k)
         for l in lowers:
             e = l.exp + k - 1
             if e == 0:
                 if 1 - l.coeff == -1:
-                    term = term.scale(-1)
+                    scale = -scale
                 elif 1 - l.coeff != 1:
                     raise NonInvertibleError(
                         f"lower parameter {l} produces a non-unit constant factor"
                     )
-            else:
-                term = term.div_binomial(l.coeff, e)
-        term = term.shift(t.exp).scale(t.coeff).truncate(order)
-        acc = acc.add(term)
+            elif e < live:
+                _div_binomial_list(term, l.coeff, e)
+        if scale == 0:  # an upper (1; q)_k: this term and every later one vanish
+            break
+        if scale != 1:
+            term = [scale * x for x in term]
+        acc[off:] = map(operator.add, acc[off:], term)
         k += 1
-    return acc
+        off += t.exp
+    return LaurentSeries(0, tuple(acc), order)
 
 
 def _poly_div_exact(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:

@@ -9,13 +9,18 @@ window pessimistically, so a coefficient you can read is always correct.
 Values are immutable; every operation returns a new series.
 
 Coefficient kernels work on whole tuples.  ``add`` and ``eq_to`` line both
-windows up by slicing, the structural zeros becoming a prefix pad;
-``mul_binomial`` is one pass over two aligned slices; ``mul`` is Kronecker
-substitution (:func:`_kronecker`), which packs each operand into one
-integer and multiplies once with CPython's bigint product; ``inverse``
-starts with a short schoolbook recurrence and continues with Newton steps
-on the same kernel.  ``div_binomial`` stays a running loop, since each
-coefficient needs the one j places before it.  Every result is exact.
+windows up by slicing, the structural zeros becoming a prefix pad; ``mul``
+is Kronecker substitution (:func:`_kronecker`), which packs each operand
+into one integer and multiplies once with CPython's bigint product;
+``inverse`` starts with a short schoolbook recurrence and continues with
+Newton steps on the same kernel.  Every result is exact.
+
+The binomial kernels are in-place list kernels shared by the
+``mul_binomial``/``div_binomial`` methods and by :mod:`qpartitions.qobjects`,
+whose Pochhammer products and ``q_hyper_sum`` run on one list and build one
+series value at the end: :func:`_mul_binomial_list` is one pass over two
+aligned slices, and :func:`_div_binomial_list` stays a running loop, since
+each coefficient needs the one j places before it.
 """
 
 from __future__ import annotations
@@ -69,6 +74,17 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
     buf = (prod & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
     from_bytes = int.from_bytes
     return tuple([from_bytes(buf[i : i + size], "little") - off for i in range(0, width, size)])
+
+
+def _mul_binomial_list(x: list[int], c: int, j: int) -> None:
+    """Multiply the coefficient list x by (1 - c*q**j) in place, j >= 1."""
+    x[j:] = [a - c * b for a, b in zip(x[j:], x)]
+
+
+def _div_binomial_list(x: list[int], c: int, j: int) -> None:
+    """Divide the coefficient list x by (1 - c*q**j) in place, j >= 1."""
+    for i in range(j, len(x)):
+        x[i] += c * x[i - j]
 
 
 @dataclass(frozen=True)
@@ -183,10 +199,6 @@ class LaurentSeries:
             )
         lo = min(self.min_exp, other.min_exp)
         return self._span(lo, order) == other._span(lo, order)
-
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality on the largest window both sides know."""
-        return self.eq_to(other, min(self.trunc_order, other.trunc_order))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -318,17 +330,16 @@ class LaurentSeries:
         """Multiply by the exact polynomial (1 - c*q**j), j >= 1."""
         if j < 1:
             raise WindowError("binomial exponent must be positive")
-        a = self.coeffs
-        out = a[:j] + tuple([x - c * y for x, y in zip(a[j:], a)])
-        return LaurentSeries(self.min_exp, out, self.trunc_order)
+        out = list(self.coeffs)
+        _mul_binomial_list(out, c, j)
+        return LaurentSeries(self.min_exp, tuple(out), self.trunc_order)
 
     def div_binomial(self, c: int, j: int) -> "LaurentSeries":
         """Divide by (1 - c*q**j), j >= 1 (always a unit)."""
         if j < 1:
             raise WindowError("binomial exponent must be positive")
         out = list(self.coeffs)
-        for i in range(j, len(out)):
-            out[i] += c * out[i - j]
+        _div_binomial_list(out, c, j)
         return LaurentSeries(self.min_exp, tuple(out), self.trunc_order)
 
     # ------------------------------------------------------------------
