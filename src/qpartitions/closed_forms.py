@@ -5,11 +5,15 @@ returns a truncated series; the enumeration module supplies the independent
 counts the identities harness compares them against.  All k/t summations
 truncate once the summand's lowest exponent leaves the window, which is
 sound because those exponents increase monotonically in the summation
-index.
+index.  :func:`gf_a_m_sum` runs its k-sum on coefficient lists with the
+binomial list kernels of :mod:`qpartitions.series`: term k is added at
+exponent k+m, so it is cut to order-k-m coefficients; one series value is
+built at the end.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +27,7 @@ from .qobjects import (
     poch_infinite,
     qbin,
 )
-from .series import LaurentSeries
+from .series import LaurentSeries, _div_binomial_list, _mul_binomial_list
 
 _Q = Monomial.q()
 
@@ -115,20 +119,31 @@ def bracket_polynomial(m: int) -> BracketPolynomial:
 
 @lru_cache(maxsize=None)
 def gf_a_m_sum(m: int, order: int) -> LaurentSeries:
-    """Summation form: sum_k q^(k+m)/(q)_{k+m} * prod_{i=1}^{m-1}(1-q^(k+i))."""
+    """Summation form: sum_k q^(k+m)/(q)_{k+m} * prod_{i=1}^{m-1}(1-q^(k+i)).
+
+    The k-sum runs on coefficient lists with the binomial list kernels of
+    :mod:`qpartitions.series`: one accumulator, one list for 1/(q)_{k+m}
+    and one term list.  Term k is added at exponent k+m, so it is cut to
+    order-k-m coefficients (the updates are causal, so the cut is exact),
+    factors (1 - q^e) with e past that live window act as 1 and are
+    skipped, and one series value is built at the end.
+    """
     if m < 1 or order < 1:
         raise ValueError("requires m >= 1 and order >= 1")
-    acc = LaurentSeries.zero(order)
-    inv = poch_finite_window(_Q, 1, m, order).inverse(order)
-    k = 0
-    while k + m < order:
-        term = inv
-        for i in range(1, m):
-            term = term.mul_binomial(1, k + i)
-        acc = acc.add(term.shift(k + m).truncate(order))
-        inv = inv.div_binomial(1, k + m + 1)
-        k += 1
-    return acc
+    acc = [0] * order
+    inv = [1] + [0] * (order - 1)
+    for i in range(1, m + 1):
+        _div_binomial_list(inv, 1, i)
+    for k in range(order - m):
+        off = k + m
+        live = order - off
+        del inv[live:]
+        term = inv[:]
+        for e in range(k + 1, min(off, live)):
+            _mul_binomial_list(term, 1, e)
+        acc[off:] = map(operator.add, acc[off:], term)
+        _div_binomial_list(inv, 1, off + 1)
+    return LaurentSeries(0, tuple(acc), order)
 
 
 @lru_cache(maxsize=None)

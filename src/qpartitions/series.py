@@ -16,11 +16,16 @@ into one integer and multiplies once with CPython's bigint product;
 Newton steps on the same kernel.  Every result is exact.
 
 The binomial kernels are in-place list kernels shared by the
-``mul_binomial``/``div_binomial`` methods and by :mod:`qpartitions.qobjects`,
+``mul_binomial``/``div_binomial`` methods, by :mod:`qpartitions.qobjects`,
 whose Pochhammer products and ``q_hyper_sum`` run on one list and build one
-series value at the end: :func:`_mul_binomial_list` is one pass over two
-aligned slices, and :func:`_div_binomial_list` stays a running loop, since
-each coefficient needs the one j places before it.
+series value at the end, and by ``closed_forms.gf_a_m_sum``, which does the
+same: :func:`_mul_binomial_list` is one pass over two aligned slices (a
+``map`` of ``operator.sub`` or ``operator.add`` for c = 1 or -1, the
+factors of (q)_n and (-q)_n, and a list comprehension for any other c),
+and :func:`_div_binomial_list` stays a running loop, since each
+coefficient needs the one j places before it.  The slice assignment
+consumes the whole ``map`` before it writes, so the pass reads only the
+old coefficients.
 """
 
 from __future__ import annotations
@@ -78,7 +83,12 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
 
 def _mul_binomial_list(x: list[int], c: int, j: int) -> None:
     """Multiply the coefficient list x by (1 - c*q**j) in place, j >= 1."""
-    x[j:] = [a - c * b for a, b in zip(x[j:], x)]
+    if c == 1:
+        x[j:] = map(operator.sub, x[j:], x)
+    elif c == -1:
+        x[j:] = map(operator.add, x[j:], x)
+    else:
+        x[j:] = [a - c * b for a, b in zip(x[j:], x)]
 
 
 def _div_binomial_list(x: list[int], c: int, j: int) -> None:

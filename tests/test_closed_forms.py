@@ -29,6 +29,8 @@ from qpartitions.enumeration import (
     count_p_fixed_diff,
     count_ubar,
 )
+from qpartitions.qobjects import Monomial, poch_finite_window
+from qpartitions.series import LaurentSeries
 
 
 def series_matches_counts(series, counter, upto):
@@ -83,6 +85,63 @@ def test_gf_a_m_sum():
         assert ok, (m, bad)
         for n in range(1, m):
             assert gf_a_m_sum(m, 30).coeff(n) == 0
+
+
+def _reference_gf_a_m_sum(m, order):
+    # the k-sum stepped on series values, each step a full-window value
+    if m < 1 or order < 1:
+        raise ValueError("requires m >= 1 and order >= 1")
+    acc = LaurentSeries.zero(order)
+    inv = poch_finite_window(Monomial.q(), 1, m, order).inverse(order)
+    k = 0
+    while k + m < order:
+        term = inv
+        for i in range(1, m):
+            term = term.mul_binomial(1, k + i)
+        acc = acc.add(term.shift(k + m).truncate(order))
+        inv = inv.div_binomial(1, k + m + 1)
+        k += 1
+    return acc
+
+
+def test_gf_a_m_sum_matches_series_valued_reference():
+    # every order 1..80, so that each live-window edge is reached.  A window
+    # is exact, so the reference at order 80 cut to a smaller order is the
+    # reference at that order; it is called directly up to order m + 2,
+    # which covers every empty sum (m >= order) and the first terms.
+    for m in range(1, 8):
+        ref = _reference_gf_a_m_sum(m, 80)
+        for order in range(1, 81):
+            want = _reference_gf_a_m_sum(m, order) if order <= m + 2 else ref.truncate(order)
+            assert gf_a_m_sum(m, order) == want, (m, order)
+    # wide windows for the multiplicities the catalog reads
+    for m in (2, 3, 4):
+        assert gf_a_m_sum(m, 400) == _reference_gf_a_m_sum(m, 400), m
+
+
+@pytest.mark.parametrize("m, order", [(0, 10), (-1, 10), (3, 0), (3, -5), (0, 0)])
+def test_gf_a_m_sum_errors_match_reference(m, order):
+    with pytest.raises(ValueError) as want:
+        _reference_gf_a_m_sum(m, order)
+    with pytest.raises(ValueError) as got:
+        gf_a_m_sum(m, order)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("m, order", [(3, 60), (2, 802)])
+def test_gf_a_m_sum_builds_one_series_value(monkeypatch, m, order):
+    built = []
+    post_init = LaurentSeries.__post_init__
+
+    def counting(self):
+        built.append(self.trunc_order)
+        post_init(self)
+
+    monkeypatch.setattr(LaurentSeries, "__post_init__", counting)
+    gf_a_m_sum.cache_clear()
+    s = gf_a_m_sum(m, order)
+    assert (s.min_exp, s.trunc_order) == (0, order)
+    assert len(built) <= 3, len(built)  # the series-valued k-sum builds m + 3 per step
 
 
 def test_gf_a_m_thm_and_correction():

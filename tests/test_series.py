@@ -207,6 +207,16 @@ def test_binomial_helpers_match_mul():
         assert a.mul_binomial(c, j).eq_to(via_mul, via_mul.trunc_order)
         # divide then multiply restores the original on the window
         assert a.div_binomial(c, j).mul_binomial(c, j) == a
+    # windows up to 300 wide with coefficients past 2**64, exponents up to
+    # two past the window, and every c the multiply kernel branches on
+    for c in (-2, -1, 0, 1, 2):
+        for _ in range(8):
+            a = _wide_series(rng, 300, 2**70)
+            n = len(a.coeffs)
+            for j in {1, n, n + 1, n + 2, *(rng.randint(1, n + 2) for _ in range(10))} - {0}:
+                assert a.mul_binomial(c, j) == _ref_mul_binomial(a, c, j), (c, j)
+                assert a.div_binomial(c, j) == _ref_div_binomial(a, c, j), (c, j)
+                assert a.div_binomial(c, j).mul_binomial(c, j) == a, (c, j)
 
 
 # ----------------------------------------------------------------------
