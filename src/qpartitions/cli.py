@@ -126,6 +126,8 @@ def _report_lines(report, fmt):
 
 def _cmd_verify(args) -> int:
     known = [ident.id for ident in registry()]
+    if "all" in args.ids and args.ids != ["all"]:
+        return _usage_error("'all' must stand alone, not with other identity ids")
     ids = known if args.ids == ["all"] else args.ids
     unknown = [i for i in ids if i not in known]
     if unknown:

@@ -14,7 +14,6 @@ built at the end.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .enumeration import count_p, count_p_star, count_Q
@@ -27,6 +26,7 @@ from .qobjects import (
     poch_infinite,
     qbin,
 )
+from .record import FrozenRecord
 from .series import LaurentSeries, _div_binomial_list, _mul_binomial_list
 
 _Q = Monomial.q()
@@ -82,16 +82,18 @@ def aG1_via_p(m: int, n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketPolynomial:
+class BracketPolynomial(FrozenRecord):
     """The alternating Laurent polynomial multiplying 1/(q;q)_inf.
 
     series equals 1 + sum_{k=1}^{m-1} (-1)^k prod_{i=0}^{k-1}
     (q^{-(m-1-i)} - 1); its exponents lie in [-m(m-1)/2, 0].
     """
 
-    m: int
-    series: LaurentSeries
+    __match_args__ = ("m", "series")
+
+    def __init__(self, m: int, series: LaurentSeries) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "series", series)
 
 
 @lru_cache(maxsize=None)

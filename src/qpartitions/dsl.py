@@ -17,9 +17,8 @@ write "(-q)^2" for the other reading), and "+ - * /" are left-associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qobjects import Monomial, PochhammerError, poch_finite, poch_infinite, qbin
+from .record import FrozenRecord
 from .series import LaurentSeries, SeriesError
 
 
@@ -45,60 +44,70 @@ class DslEvalError(ValueError):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(FrozenRecord):
+    __match_args__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        object.__setattr__(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("negative literals are spelled with Neg")
 
 
-@dataclass(frozen=True)
-class Q:
+class Q(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Neg(FrozenRecord):
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: object) -> None:
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+# Add, Sub, Mul and Div differ only in their class, which == compares.
+class _Binary(FrozenRecord):
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: object, right: object) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Mul(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Div(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Poch:
-    param: Monomial
-    step: int
-    length: int | None  # None means the infinite product
+class Pow(FrozenRecord):
+    __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: object, exponent: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+
+class Poch(FrozenRecord):
+    __match_args__ = ("param", "step", "length")
+
+    def __init__(self, param: Monomial, step: int, length: int | None) -> None:
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "length", length)  # None means the infinite product
+        self.__post_init__()
 
     def __post_init__(self):
         if self.step < 1:
@@ -107,10 +116,12 @@ class Poch:
             raise ValueError("poch length must be non-negative")
 
 
-@dataclass(frozen=True)
-class Qbin:
-    upper: int
-    lower: int
+class Qbin(FrozenRecord):
+    __match_args__ = ("upper", "lower")
+
+    def __init__(self, upper: int, lower: int) -> None:
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
 
 
 # ----------------------------------------------------------------------

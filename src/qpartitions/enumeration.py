@@ -41,15 +41,15 @@ v1 > ... > vr with multiplicities c1 ... cr:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+
+from .record import FrozenRecord
 
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
 
 
-@dataclass(frozen=True)
-class PartitionFilter:
+class PartitionFilter(FrozenRecord):
     """Composable restrictions on generated partitions.
 
     min_part: every part at least this value.
@@ -61,10 +61,15 @@ class PartitionFilter:
     fails exact_diff and smallest_mult_min, which need a smallest part.
     """
 
-    min_part: int | None = None
-    smallest_mult_min: int | None = None
-    exact_diff: int | None = None
-    excluded_modulus: int | None = None
+    __match_args__ = ("min_part", "smallest_mult_min", "exact_diff", "excluded_modulus")
+
+    def __init__(self, min_part: int | None = None, smallest_mult_min: int | None = None,
+                 exact_diff: int | None = None, excluded_modulus: int | None = None) -> None:
+        object.__setattr__(self, "min_part", min_part)
+        object.__setattr__(self, "smallest_mult_min", smallest_mult_min)
+        object.__setattr__(self, "exact_diff", exact_diff)
+        object.__setattr__(self, "excluded_modulus", excluded_modulus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.min_part is not None and self.min_part < 1:

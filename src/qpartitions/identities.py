@@ -12,13 +12,12 @@ without its divisibility hypothesis) are expected to refute.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
 
 from . import closed_forms as cf
 from . import enumeration as en
 from .qobjects import Monomial, poch_infinite, q_hyper_sum, qbinomial_theorem_lhs_rhs
+from .record import FrozenRecord, Record
 from .series import LaurentSeries, SeriesError
 
 _MONOS = (
@@ -35,8 +34,7 @@ class UnknownIdentityError(KeyError):
     """Requested identity id is not in the registry."""
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(FrozenRecord):
     """A registered claim with two independent evaluators, as data.
 
     ``bound`` is the default grid bound: the largest n (``to``) for a
@@ -52,28 +50,46 @@ class Identity:
     call time (``lambda n: cf.a3_via_p(n)``), never through a function
     object stored here, so that a wrapper later set on the module (a
     tracer's hook, a test's monkeypatch) sees every call.
+
+    Field types: ``id``, ``kind`` (``"countwise"`` or ``"serieswise"``) and
+    ``statement`` are ``str`` and ``bound`` an ``int``; ``grid`` is a
+    ``(int, bool) -> str`` callable, ``points`` an ``(int, bool) ->
+    Iterable`` one, and ``sides`` an ``int -> (Callable, Callable)`` one,
+    ``None`` for a serieswise entry.
     """
 
-    id: str
-    kind: str  # "countwise" | "serieswise"
-    statement: str
-    bound: int
-    grid: Callable[[int, bool], str]
-    points: Callable[[int, bool], Iterable]
-    sides: Callable[[int], tuple[Callable, Callable]] | None = None
+    __match_args__ = ("id", "kind", "statement", "bound", "grid", "points", "sides")
+
+    def __init__(self, id: str, kind: str, statement: str, bound: int, grid, points,
+                 sides=None) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sides", sides)
 
 
-@dataclass
-class VerificationReport:
-    """Machine-readable outcome of checking one identity over a grid."""
+class VerificationReport(Record):
+    """Machine-readable outcome of checking one identity over a grid.
 
-    identity: str
-    grid: str
-    status: str  # "verified" | "refuted" | "skipped"
-    points: int
-    counterexamples: list[dict]
-    seconds: float
-    reason: str = ""
+    ``status`` is ``"verified"``, ``"refuted"`` or ``"skipped"``.
+    """
+
+    __match_args__ = ("identity", "grid", "status", "points", "counterexamples",
+                      "seconds", "reason")
+
+    def __init__(self, identity: str, grid: str, status: str, points: int,
+                 counterexamples: list[dict], seconds: float, reason: str = "") -> None:
+        self.identity = identity
+        self.grid = grid
+        self.status = status
+        self.points = points
+        self.counterexamples = counterexamples
+        self.seconds = seconds
+        self.reason = reason
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.status == "refuted" and not self.counterexamples:

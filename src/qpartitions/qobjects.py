@@ -12,9 +12,9 @@ the end.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .record import FrozenRecord
 from .series import (
     LaurentSeries,
     NonInvertibleError,
@@ -29,12 +29,23 @@ class PochhammerError(SeriesError):
     """An infinite product whose factors never leave the window."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(FrozenRecord):
     """An integer monomial c*q**e used as a Pochhammer parameter."""
 
-    coeff: int
-    exp: int = 0
+    __match_args__ = ("coeff", "exp")
+
+    def __init__(self, coeff: int, exp: int = 0) -> None:
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exp", exp)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coeff, self.exp) == (other.coeff, other.exp)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.exp))
 
     def __post_init__(self) -> None:
         if self.exp < 0:

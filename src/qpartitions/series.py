@@ -31,7 +31,8 @@ old coefficients.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+
+from .record import FrozenRecord
 
 
 class SeriesError(ValueError):
@@ -97,17 +98,29 @@ def _div_binomial_list(x: list[int], c: int, j: int) -> None:
         x[i] += c * x[i - j]
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(FrozenRecord):
     """A Laurent series truncated at ``trunc_order``.
 
     ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``; the tuple spans
     the whole window, so ``len(coeffs) == trunc_order - min_exp``.
     """
 
-    min_exp: int
-    coeffs: tuple[int, ...]
-    trunc_order: int
+    __match_args__ = ("min_exp", "coeffs", "trunc_order")
+
+    def __init__(self, min_exp: int, coeffs: tuple[int, ...], trunc_order: int) -> None:
+        object.__setattr__(self, "min_exp", min_exp)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "trunc_order", trunc_order)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.min_exp, self.coeffs, self.trunc_order) == (
+                other.min_exp, other.coeffs, other.trunc_order)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.min_exp, self.coeffs, self.trunc_order))
 
     def __post_init__(self) -> None:
         if self.min_exp > self.trunc_order:

@@ -91,6 +91,13 @@ def test_verify_unknown_id(capsys):
     assert code == 2 and "unknown identity" in err
 
 
+def test_verify_all_must_stand_alone(capsys):
+    for ids in (("all", "prop1"), ("prop1", "all")):
+        code, out, err = run_cli(capsys, "verify", *ids, "--to", "4")
+        assert code == 2 and out == ""
+        assert err == "error: 'all' must stand alone, not with other identity ids\n"
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "prop2", "prop3", "--format", "json", "--to", "8"
@@ -284,6 +291,27 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert [line.split()[1] for line in proc.stdout.strip().splitlines()] == \
         ["1", "1", "2", "3"]
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # both cost a cold CLI child about 25 ms of import and generated code
+    src = str(Path(en.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from qpartitions.cli import main\n"
+        "assert main(['seq', 'p', '--from', '0', '--to', '0']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    row, loaded = proc.stdout.splitlines()
+    assert row.split() == ["0", "1"] and loaded == "[]"
 
 
 def test_usage_exit_code_from_argparse(capsys):

@@ -141,7 +141,7 @@ def test_gf_a_m_sum_builds_one_series_value(monkeypatch, m, order):
     gf_a_m_sum.cache_clear()
     s = gf_a_m_sum(m, order)
     assert (s.min_exp, s.trunc_order) == (0, order)
-    assert len(built) <= 3, len(built)  # the series-valued k-sum builds m + 3 per step
+    assert 1 <= len(built) <= 3, len(built)  # the series-valued k-sum builds m + 3 per step
 
 
 def test_gf_a_m_thm_and_correction():
