@@ -1,4 +1,4 @@
-"""Command-line front end: sequences, identity verification, expressions, cache.
+"""Command-line front end: sequences, identity verification, expressions.
 
 Exit codes: 0 success (all verified), 1 an identity refuted, 2 usage or
 evaluation error.  JSON output renders counts as decimal strings so
@@ -8,17 +8,13 @@ arbitrary-precision values survive any consumer.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import enumeration as en
-from .dsl import DslEvalError, DslSyntaxError, eval_text
-from .identities import UnknownIdentityError, registry, verify
+# Each command imports the modules it runs inside its handler, so a cold
+# child loads only those; the names are read from their module at call time.
 
-ENV_CACHE = "QPARTITIONS_CACHE"
 ENV_ORDER = "QPARTITIONS_ORDER"
-CACHE_VERSION = 1
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -29,24 +25,24 @@ EXIT_USAGE = 2
 # sequence families
 # ----------------------------------------------------------------------
 
-# family -> (required params, counter)
+# family -> (required params, counter(enumeration module, params, n))
 _FAMILIES = {
-    "p": ((), lambda p, n: en.count_p(n)),
-    "p_diff": (("t",), lambda p, n: en.count_p_fixed_diff(n, p["t"])),
-    "a": (("m",), lambda p, n: en.count_a(p["m"], n)),
-    "a_diff": (("m", "t"), lambda p, n: en.count_a_diff(p["m"], n, p["t"])),
-    "Q": (("l", "k"), lambda p, n: en.count_Q(p["l"], p["k"], n, p["convention"])),
-    "p_star": (("m",), lambda p, n: en.count_p_star(p["m"], n)),
-    "pbar": ((), lambda p, n: en.count_pbar(n)),
-    "pbar_diff": (("t",), lambda p, n: en.count_pbar_diff(n, p["t"])),
-    "abar": (("m",), lambda p, n: en.count_abar(p["m"], n)),
-    "abar_diff": (("m", "t"), lambda p, n: en.count_abar_diff(p["m"], n, p["t"])),
-    "ubar": ((), lambda p, n: en.count_ubar(n)),
-    "breg": (("l",), lambda p, n: en.count_breg(p["l"], n)),
-    "breg_diff": (("l", "t"), lambda p, n: en.count_breg_diff(p["l"], n, p["t"])),
-    "areg": (("m", "l"), lambda p, n: en.count_areg(p["m"], p["l"], n)),
+    "p": ((), lambda en, p, n: en.count_p(n)),
+    "p_diff": (("t",), lambda en, p, n: en.count_p_fixed_diff(n, p["t"])),
+    "a": (("m",), lambda en, p, n: en.count_a(p["m"], n)),
+    "a_diff": (("m", "t"), lambda en, p, n: en.count_a_diff(p["m"], n, p["t"])),
+    "Q": (("l", "k"), lambda en, p, n: en.count_Q(p["l"], p["k"], n, p["convention"])),
+    "p_star": (("m",), lambda en, p, n: en.count_p_star(p["m"], n)),
+    "pbar": ((), lambda en, p, n: en.count_pbar(n)),
+    "pbar_diff": (("t",), lambda en, p, n: en.count_pbar_diff(n, p["t"])),
+    "abar": (("m",), lambda en, p, n: en.count_abar(p["m"], n)),
+    "abar_diff": (("m", "t"), lambda en, p, n: en.count_abar_diff(p["m"], n, p["t"])),
+    "ubar": ((), lambda en, p, n: en.count_ubar(n)),
+    "breg": (("l",), lambda en, p, n: en.count_breg(p["l"], n)),
+    "breg_diff": (("l", "t"), lambda en, p, n: en.count_breg_diff(p["l"], n, p["t"])),
+    "areg": (("m", "l"), lambda en, p, n: en.count_areg(p["m"], p["l"], n)),
     "areg_diff": (("m", "l", "t"),
-                  lambda p, n: en.count_areg_diff(p["m"], p["l"], n, p["t"])),
+                  lambda en, p, n: en.count_areg_diff(p["m"], p["l"], n, p["t"])),
 }
 
 
@@ -62,6 +58,8 @@ def _emit_rows(rows, header, fmt):
         for k, v in rows:
             print(f"{k},{v}")
     elif fmt == "json":
+        import json
+
         for k, v in rows:
             print(json.dumps({header[0]: k, header[1]: v}))
     else:
@@ -85,10 +83,12 @@ def _cmd_seq(args) -> int:
         )
     if args.frm > args.to:
         return _usage_error("--from must not exceed --to")
+    from . import enumeration as en
+
     try:
         # largest n first, so an enumeration counter sweeps once (see
         # enumeration._HistCache); printed in ascending order
-        rows = [(n, str(counter(params, n))) for n in range(args.to, args.frm - 1, -1)]
+        rows = [(n, str(counter(en, params, n))) for n in range(args.to, args.frm - 1, -1)]
     except ValueError as exc:
         return _usage_error(str(exc))
     rows.reverse()
@@ -103,6 +103,8 @@ def _cmd_seq(args) -> int:
 
 def _report_lines(report, fmt):
     if fmt == "json":
+        import json
+
         return [json.dumps(report.to_json_dict())]
     if fmt == "csv":
         return [
@@ -125,6 +127,8 @@ def _report_lines(report, fmt):
 
 
 def _cmd_verify(args) -> int:
+    from .identities import registry, verify
+
     known = [ident.id for ident in registry()]
     if "all" in args.ids and args.ids != ["all"]:
         return _usage_error("'all' must stand alone, not with other identity ids")
@@ -165,97 +169,14 @@ def _cmd_series(args) -> int:
             )
     if order < 1:
         return _usage_error(f"{source} must be at least 1")
+    from .dsl import DslEvalError, DslSyntaxError, eval_text
+
     try:
         result = eval_text(args.expr, order)
     except (DslSyntaxError, DslEvalError) as exc:
         return _usage_error(str(exc))
     rows = [(e, str(result.coeff(e))) for e in range(result.min_exp, result.trunc_order)]
     _emit_rows(rows, ("exp", "coeff"), args.format)
-    return EXIT_OK
-
-
-# ----------------------------------------------------------------------
-# cache
-# ----------------------------------------------------------------------
-
-
-def _cache_path(args) -> str | None:
-    return args.cache or os.environ.get(ENV_CACHE)
-
-
-def load_cache(path: str) -> bool:
-    """Check a warm p(n) cache file; warn about and ignore anything invalid.
-
-    Every entry is compared against ``count_p``, so no value is ever taken
-    from the file on trust; a file that disagrees anywhere is ignored.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return False
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-        return False
-    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        print(f"warning: ignoring cache {path}: version mismatch", file=sys.stderr)
-        return False
-    values = data.get("p")
-    if not isinstance(values, list) or not all(
-        isinstance(v, str) and v.isdigit() for v in values
-    ):
-        print(f"warning: ignoring corrupted cache {path}", file=sys.stderr)
-        return False
-    for n, value in enumerate(values):
-        if int(value) != en.count_p(n):
-            print(f"warning: ignoring cache {path}: p({n}) disagrees with "
-                  "the computed value", file=sys.stderr)
-            return False
-    return True
-
-
-def _cmd_cache(args) -> int:
-    path = _cache_path(args)
-    if path is None:
-        return _usage_error(
-            f"cache commands need --cache PATH or ${ENV_CACHE}"
-        )
-    if args.action == "warm":
-        bound = args.to if args.to is not None else 500
-        if bound < 0:
-            return _usage_error("--to must be non-negative")
-        values = [str(en.count_p(n)) for n in range(bound + 1)]
-        try:
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"version": CACHE_VERSION, "p": values}, fh)
-        except OSError as exc:
-            print(f"error: cannot write cache: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"cached {len(values)} values at {path}")
-        return EXIT_OK
-    if args.action == "clear":
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            print(f"error: cannot remove cache: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"cleared {path}")
-        return EXIT_OK
-    # stat
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        entries = len(data.get("p", [])) if isinstance(data, dict) else 0
-        version = data.get("version") if isinstance(data, dict) else None
-        print(f"{path}: version {version}, {entries} entries")
-    except FileNotFoundError:
-        print(f"{path}: empty")
-    except (OSError, json.JSONDecodeError):
-        print(f"{path}: corrupted")
     return EXIT_OK
 
 
@@ -268,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "csv", "json"),
                         default="table", help="output format")
-    common.add_argument("--cache", metavar="PATH", default=None,
-                        help=f"p(n) cache file (default ${ENV_CACHE})")
 
     parser = argparse.ArgumentParser(
         prog="qpartitions",
@@ -304,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     ser.add_argument("--order", type=int, default=None,
                      help=f"truncation order (default ${ENV_ORDER} or 10)")
 
-    cache = sub.add_parser("cache", parents=[common],
-                           help="manage the p(n) cache file")
-    cache.add_argument("action", choices=("warm", "clear", "stat"))
-    cache.add_argument("--to", type=int, default=None,
-                       help="warm bound (default 500)")
-
     return parser
 
 
@@ -320,18 +233,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    if args.command != "cache":
-        path = _cache_path(args)
-        if path:
-            load_cache(path)
-
     if args.command == "seq":
         return _cmd_seq(args)
     if args.command == "verify":
         return _cmd_verify(args)
-    if args.command == "series":
-        return _cmd_series(args)
-    return _cmd_cache(args)
+    return _cmd_series(args)
 
 
 if __name__ == "__main__":

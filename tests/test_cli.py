@@ -190,92 +190,11 @@ def test_series_order_below_one_names_its_source(capsys, monkeypatch):
     assert err == "error: --order must be at least 1\n"
 
 
-def test_cache_workflow(tmp_path, capsys):
-    path = tmp_path / "p.json"
-    code, out, _ = run_cli(capsys, "cache", "warm", "--cache", str(path), "--to", "60")
-    assert code == 0 and "61" in out
-    code, out, _ = run_cli(capsys, "cache", "stat", "--cache", str(path))
-    assert code == 0 and "61 entries" in out
-
-    data = json.loads(path.read_text())
-    assert data["version"] == 1
-    assert data["p"][:6] == ["1", "1", "2", "3", "5", "7"]
-
-    # transparency: warm and cold runs print identical values
-    code, cold, _ = run_cli(capsys, "seq", "p", "--from", "0", "--to", "40")
-    code, warm, _ = run_cli(
-        capsys, "seq", "p", "--from", "0", "--to", "40", "--cache", str(path)
-    )
-    assert cold == warm
-
-    code, out, _ = run_cli(capsys, "cache", "clear", "--cache", str(path))
-    assert code == 0 and not path.exists()
-    code, out, _ = run_cli(capsys, "cache", "stat", "--cache", str(path))
-    assert code == 0 and "empty" in out
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "env.json"
-    monkeypatch.setenv("QPARTITIONS_CACHE", str(path))
-    code, _, _ = run_cli(capsys, "cache", "warm", "--to", "10")
-    assert code == 0 and path.exists()
-
-
-def test_cache_corrupt_is_ignored(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, out, err = run_cli(
-        capsys, "seq", "p", "--from", "0", "--to", "5", "--cache", str(path)
-    )
-    assert code == 0
-    assert "ignoring" in err
-    assert [line.split()[1] for line in out.strip().splitlines()] == \
-        ["1", "1", "2", "3", "5", "7"]
-
-    path.write_text(json.dumps({"version": 99, "p": ["1"]}))
-    code, _, err = run_cli(
-        capsys, "seq", "p", "--from", "0", "--to", "2", "--cache", str(path)
-    )
-    assert code == 0 and "version mismatch" in err
-
-    # poisoned prefix is detected and rejected
-    path.write_text(json.dumps({"version": 1, "p": ["1", "1", "999"]}))
-    code, out, err = run_cli(
-        capsys, "seq", "p", "--from", "0", "--to", "4", "--cache", str(path)
-    )
-    assert code == 0 and "disagree" in err
-    assert [line.split()[1] for line in out.strip().splitlines()] == \
-        ["1", "1", "2", "3", "5"]
-
-
-def test_cache_poisoned_late_entry_is_ignored(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "bad.json"
-    run_cli(capsys, "cache", "warm", "--cache", str(path), "--to", "300")
-    data = json.loads(path.read_text())
-    data["p"][300] = str(int(data["p"][300]) + 1)
-    path.write_text(json.dumps(data))
-
-    # each run starts from a cold p(n) memo, as a fresh process does
-    monkeypatch.setattr(en, "_p_memo", [1])
-    code, out, err = run_cli(
-        capsys, "seq", "p", "--from", "300", "--to", "300", "--cache", str(path)
-    )
-    assert code == 0 and "p(300) disagrees" in err
-    assert out.split() == ["300", "9253082936723602"]
-
-    monkeypatch.setattr(en, "_p_memo", [1])
-    code, out, err = run_cli(
-        capsys, "verify", "prop1", "thm_a3", "--to", "300", "--cache", str(path)
-    )
-    assert code == 0 and "p(300) disagrees" in err
-    assert [line.split(":")[1].split()[0] for line in out.splitlines()] == \
-        ["verified", "verified"]
-
-
-def test_cache_needs_path(capsys, monkeypatch):
-    monkeypatch.delenv("QPARTITIONS_CACHE", raising=False)
-    code, _, err = run_cli(capsys, "cache", "stat")
-    assert code == 2 and "QPARTITIONS_CACHE" in err
+def test_cache_option_and_command_are_gone(capsys):
+    # the p(n) cache was retired: no value was ever read from its file
+    assert main(["seq", "p", "--from", "0", "--to", "1", "--cache", "p.json"]) == 2
+    assert main(["cache", "stat"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_module_entry_point():
@@ -293,16 +212,10 @@ def test_module_entry_point():
         ["1", "1", "2", "3"]
 
 
-def test_cold_import_skips_dataclasses_and_inspect():
-    # both cost a cold CLI child about 25 ms of import and generated code
+def _cold_child(code):
+    """Run code in a fresh interpreter on this package; return its stdout lines."""
     src = str(Path(en.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = (
-        "import sys\n"
-        "from qpartitions.cli import main\n"
-        "assert main(['seq', 'p', '--from', '0', '--to', '0']) == 0\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -310,8 +223,59 @@ def test_cold_import_skips_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    row, loaded = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # both cost a cold CLI child about 25 ms of import and generated code
+    row, loaded = _cold_child(
+        "import sys\n"
+        "from qpartitions.cli import main\n"
+        "assert main(['seq', 'p', '--from', '0', '--to', '0']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
     assert row.split() == ["0", "1"] and loaded == "[]"
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["seq", "p", "--from", "0", "--to", "0"],
+     ["identities", "closed_forms", "dsl", "qobjects", "series"]),
+    (["series", "1/poch(q;1;inf)", "--order", "5"],
+     ["identities", "closed_forms", "enumeration"]),
+], ids=["seq", "series"])
+def test_cold_child_loads_only_the_modules_its_command_runs(argv, unused):
+    # a cold child that runs from source compiles every module it imports
+    *_, loaded = _cold_child(
+        "import sys\n"
+        "from qpartitions.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(sorted({{'qpartitions.' + m for m in {unused!r}}} & set(sys.modules)))\n"
+    )
+    assert loaded == "[]"
+
+
+def test_commands_read_engine_names_at_call_time(capsys, monkeypatch):
+    # perfbench/trace_child.py rebinds module attributes to its wrappers
+    import qpartitions.dsl
+    import qpartitions.identities
+
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(qpartitions.identities, "verify")
+    spy(qpartitions.dsl, "eval_text")
+    assert main(["verify", "prop2", "--to", "3"]) == 0
+    assert main(["series", "1/poch(q;1;inf)", "--order", "4"]) == 0
+    capsys.readouterr()
+    assert calls == [("verify", "prop2"), ("eval_text", "1/poch(q;1;inf)")]
 
 
 def test_usage_exit_code_from_argparse(capsys):
