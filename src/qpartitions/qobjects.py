@@ -194,25 +194,49 @@ def euler_qinf(order: int) -> LaurentSeries:
     return LaurentSeries(0, tuple(coeffs), order)
 
 
+_EXP_COEFF = operator.attrgetter("exp", "coeff")
+
+
 def q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
     """sum_{k>=0} prod_i (u_i)_k * t^k / ((q)_k * prod_j (l_j)_k), truncated.
 
     All parameters are integer monomials; zero parameters contribute the
     constant Pochhammer 1.  The sum stops once t^k leaves the window, so a
-    nonzero ``t`` must have positive exponent.  The term recurrence runs on
-    one coefficient list with the shared binomial list kernels, and one
-    series value is built at the end.  Term k is added at exponent
-    k*t.exp, so before step k it is cut to its order - k*t.exp live
-    coefficients; every update is causal, so the cut is exact.
+    nonzero ``t`` must have positive exponent.  The parameters are checked
+    in the caller's order, then normalized (zero monomials dropped, uppers
+    and lowers each sorted by exponent and coefficient, which leaves the
+    symmetric product unchanged) and the sum is built once per normalized
+    argument tuple by :func:`_q_hyper_sum`; errors are raised on every
+    call, never cached.
     """
     if order < 1:
         raise WindowError("order must be at least 1")
     if t.is_zero():
-        return LaurentSeries.one(order)
+        return _q_hyper_sum((), (), t, order)
     if t.exp < 1:
         raise PochhammerError(f"series in powers of {t} does not truncate")
     uppers = [u for u in uppers if not u.is_zero()]
     lowers = [l for l in lowers if not l.is_zero()]
+    if t.exp < order:  # term 1 is in the window: each (l)_1 must be a unit
+        for l in lowers:
+            if l.exp == 0 and l.coeff != 2:
+                raise NonInvertibleError(
+                    f"lower parameter {l} produces a non-unit constant factor"
+                )
+    uppers.sort(key=_EXP_COEFF)
+    lowers.sort(key=_EXP_COEFF)
+    return _q_hyper_sum(tuple(uppers), tuple(lowers), t, order)
+
+
+@lru_cache(maxsize=None)
+def _q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
+    # q_hyper_sum on checked, normalized parameters.  The term recurrence
+    # runs on one coefficient list with the shared binomial list kernels,
+    # and one series value is built at the end.  Term k is added at
+    # exponent k*t.exp, so before step k it is cut to its order - k*t.exp
+    # live coefficients; every update is causal, so the cut is exact.
+    if t.is_zero():
+        return LaurentSeries.one(order)
     acc = [1] + [0] * (order - 1)
     term = acc[:]
     k, off = 1, t.exp
@@ -230,13 +254,8 @@ def q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
             _div_binomial_list(term, 1, k)
         for l in lowers:
             e = l.exp + k - 1
-            if e == 0:
-                if 1 - l.coeff == -1:
-                    scale = -scale
-                elif 1 - l.coeff != 1:
-                    raise NonInvertibleError(
-                        f"lower parameter {l} produces a non-unit constant factor"
-                    )
+            if e == 0:  # (1 - 2), the one unit constant q_hyper_sum lets through
+                scale = -scale
             elif e < live:
                 _div_binomial_list(term, l.coeff, e)
         if scale == 0:  # an upper (1; q)_k: this term and every later one vanish
@@ -262,11 +281,13 @@ def _poly_div_exact(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
     return q.truncate(deg_n - deg_d + 1)
 
 
+@lru_cache(maxsize=None)
 def qbin(a: int, b: int) -> LaurentSeries:
     """The Gaussian binomial coefficient as an exact polynomial.
 
     Computed as (q)_a / ((q)_b (q)_{a-b}) by exact division with a
-    zero-remainder check; returns 0 for b < 0 or b > a.
+    zero-remainder check; returns 0 for b < 0 or b > a.  Memoized like
+    :func:`poch_infinite`: values are frozen, so callers share one.
     """
     if a < 0:
         raise ValueError("upper index must be non-negative")

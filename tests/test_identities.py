@@ -1,6 +1,6 @@
 import pytest
 
-from qpartitions import cli
+from qpartitions import cli, identities
 from qpartitions import closed_forms as cf
 from qpartitions import enumeration as en
 from qpartitions.enumeration import (
@@ -11,6 +11,7 @@ from qpartitions.enumeration import (
     gen_partitions,
 )
 from qpartitions.identities import (
+    Identity,
     UnknownIdentityError,
     VerificationReport,
     bijection_over1,
@@ -21,6 +22,7 @@ from qpartitions.identities import (
     verify,
 )
 from qpartitions.qobjects import Monomial, poch_infinite
+from qpartitions.series import LaurentSeries, WindowError
 
 EXPECTED_IDS = [
     "prop1", "prop2", "prop3", "thmG1", "thm_a3", "thm_a4", "eq_am",
@@ -161,6 +163,86 @@ def test_verify_propagates_runner_faults(monkeypatch):
     en._hists.clear()
     with pytest.raises(ValueError, match="sweep fault"):
         verify("thmG1")
+
+
+def _walk_grid(cases):
+    # The serieswise comparison exponent by exponent: below a side's min_exp
+    # it reads 0, past its window it raises.
+    npts, ces = 0, []
+    for params, lhs, rhs, exps in cases:
+        for e in exps:
+            npts += 1
+            lv = lhs.coeff(e) if e >= lhs.min_exp else 0
+            rv = rhs.coeff(e) if e >= rhs.min_exp else 0
+            if lv != rv:
+                ces.append({"params": {**params, "n": e}, "lhs": lv, "rhs": rv})
+    return npts, ces
+
+
+_BASE = [3 * e + 1 for e in range(20)]
+
+
+def _poly(coeffs, min_exp=0):
+    return LaurentSeries(min_exp, tuple(coeffs), min_exp + len(coeffs))
+
+
+def test_series_grid_fast_path_matches_the_walk(monkeypatch):
+    wrong = list(_BASE)
+    wrong[7], wrong[12] = 0, wrong[12] + 5
+    late = _poly(_BASE[3:], 3)  # min_exp above the grid start: reads 0 there
+    cases = [
+        ({"k": "equal"}, _poly(_BASE), _poly(list(_BASE)), range(20)),
+        ({"k": "interior"}, _poly(_BASE), _poly(wrong), range(20)),
+        ({"k": "sub-range"}, _poly(_BASE), _poly(wrong), range(5, 15)),
+        ({"k": "outside"}, _poly(_BASE), _poly(wrong), range(8, 12)),
+        ({"k": "first"}, _poly(_BASE), _poly(wrong), range(7, 12)),
+        ({"k": "last"}, _poly(_BASE), _poly(wrong), range(8, 13)),
+        ({"k": "late"}, late, _poly([0, 0, 0] + _BASE[3:]), range(20)),
+        ({"k": "late, differs"}, late, _poly(_BASE), range(1, 20)),
+        ({"k": "short, covered"}, _poly(_BASE), _poly(_BASE[:10]), range(2, 10)),
+        ({"k": "empty"}, _poly(_BASE), _poly(wrong), range(0)),
+    ]
+    walked = []
+    coeff0 = identities._coeff0
+
+    def spy(s, n):
+        walked.append(n)
+        return coeff0(s, n)
+
+    monkeypatch.setattr(identities, "_coeff0", spy)
+    got = identities._series_grid(cases)
+    assert got == _walk_grid(cases)
+    assert got[0] == 20 + 20 + 10 + 4 + 5 + 5 + 20 + 19 + 8
+    # counterexamples in grid order, a late side reading 0 below its min_exp
+    assert [(ce["params"]["k"], ce["params"]["n"], ce["lhs"], ce["rhs"]) for ce in got[1]] == [
+        ("interior", 7, 22, 0), ("interior", 12, 37, 42),
+        ("sub-range", 7, 22, 0), ("sub-range", 12, 37, 42),
+        ("first", 7, 22, 0), ("last", 12, 37, 42),
+        ("late, differs", 1, 0, 4), ("late, differs", 2, 0, 7),
+    ]
+    # only the cases that disagree are walked, both sides per exponent
+    assert len(walked) == 2 * (20 + 10 + 5 + 5 + 19)
+
+
+@pytest.mark.parametrize("short_sides", ["lhs", "rhs", "both"])
+def test_series_grid_short_window_raises_the_walks_error(monkeypatch, short_sides):
+    wrong = list(_BASE)
+    wrong[3] = 0  # a mismatch before the window ends changes nothing
+    sides = {"lhs": [_poly(wrong[:15]), _poly(_BASE)],
+             "rhs": [_poly(_BASE), _poly(wrong[:15])],
+             "both": [_poly(_BASE[:15]), _poly(_BASE[:15])]}[short_sides]
+    cases = [({}, _poly(_BASE), _poly(_BASE), range(20)), ({}, *sides, range(20))]
+    with pytest.raises(WindowError) as want:
+        _walk_grid(cases)
+    with pytest.raises(WindowError) as got:
+        identities._series_grid(cases)
+    assert str(got.value) == str(want.value) == "exponent 15 outside known window [0, 15)"
+    # through the engine: a skipped report whose reason is the walk's text
+    stub = Identity("stub", "serieswise", "s", 20, lambda w, incl: f"below {w}",
+                    lambda w, incl: iter(cases))
+    monkeypatch.setattr(identities, "_REGISTRY", [stub])
+    r = verify("stub")
+    assert (r.status, r.points, r.reason) == ("skipped", 0, str(want.value))
 
 
 @pytest.fixture

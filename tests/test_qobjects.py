@@ -1,9 +1,10 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
-from qpartitions import identities
+from qpartitions import identities, qobjects
 from qpartitions.enumeration import count_a, count_p, gen_partitions
 from qpartitions.qobjects import (
     Monomial,
@@ -249,14 +250,79 @@ def test_q_hyper_sum_matches_term_by_term_reference():
         ((Q,), (), Monomial(2, 0), 10, PochhammerError),
         ((Q,), (Monomial(3, 0),), Q, 10, NonInvertibleError),
         ((Q,), (Monomial(1, 0),), Q, 10, NonInvertibleError),
+        # two bad lowers: the message names the first in the caller's order
+        ((Q,), (Monomial(3, 0), Monomial(1, 0)), Q, 10, NonInvertibleError),
     ],
 )
 def test_q_hyper_sum_errors_match_reference(uppers, lowers, t, order, exc):
-    with pytest.raises(exc) as got:
-        q_hyper_sum(uppers, lowers, t, order)
     with pytest.raises(exc) as want:
         _reference_q_hyper_sum(uppers, lowers, t, order)
-    assert str(got.value) == str(want.value)
+    for _ in range(2):  # errors are never cached: every call raises
+        with pytest.raises(exc) as got:
+            q_hyper_sum(uppers, lowers, t, order)
+        assert str(got.value) == str(want.value)
+
+
+def _clear_caches():
+    # every memo table a serieswise case reads, so each test builds cold
+    for module in (qobjects, identities):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "uppers, lowers, t",
+    [
+        ((Monomial(-1, 1), Monomial(1, 2), Monomial(2, 0)), (Monomial(1, 3), Monomial(-1, 1)), Q),
+        ((Monomial(1, 1), Monomial(-1, 1), Monomial(1, 0)), (Monomial(2, 0), Monomial(1, 2)),
+         Monomial(-2, 1)),
+        ((Monomial(3, 2), Monomial(-2, 2)), (Monomial(1, 1), Monomial(1, 1)), Monomial(1, 2)),
+    ],
+)
+def test_q_hyper_sum_memo_shares_one_value_per_normalized_key(uppers, lowers, t):
+    _clear_caches()
+    first = q_hyper_sum(uppers, lowers, t, 40)
+    assert first == _reference_q_hyper_sum(uppers, lowers, t, 40)
+    zero = Monomial.zero()
+    for i, us in enumerate(permutations(uppers)):
+        for j, ls in enumerate(permutations(lowers)):
+            us_z = list(us)
+            us_z.insert(i % (len(us) + 1), zero)
+            ls_z = [zero, *ls, zero] if j % 2 else list(ls)
+            for u_args, l_args in ((us, ls), (us_z, ls_z), (list(us_z), tuple(ls_z))):
+                assert q_hyper_sum(u_args, l_args, t, 40) is first
+    assert qobjects._q_hyper_sum.cache_info().misses == 1
+    # a different t or order is a different value
+    assert q_hyper_sum(uppers, lowers, t, 41) is not first
+    assert q_hyper_sum((), (), zero, 40) is q_hyper_sum(uppers, lowers, zero, 40)
+
+
+def _gaussian_by_division(a, b):
+    # (q)_a / ((q)_b (q)_{a-b}) by a series inverse on a window holding every
+    # polynomial exactly, without qbin and its cache
+    if not 0 <= b <= a:
+        return LaurentSeries.zero(1)
+    w = a * (a + 1) // 2 + 1
+
+    def exact(s):
+        return LaurentSeries.from_coeffs(s.coeffs, 0, w)
+
+    den = exact(poch_finite(Q, 1, b)).mul(exact(poch_finite(Q, 1, a - b)))
+    quotient = exact(poch_finite(Q, 1, a)).mul(den.inverse(w))
+    degree = b * (a - b)
+    assert not any(quotient.coeffs[degree + 1:])  # the quotient is a polynomial
+    return quotient.truncate(degree + 1)
+
+
+def test_qbin_memo_matches_pochhammer_quotient():
+    _clear_caches()
+    for a in range(13):
+        for b in range(-1, a + 2):
+            value = qbin(a, b)
+            assert value == _gaussian_by_division(a, b), (a, b)
+            assert qbin(a, b) is value
+    assert qbin.cache_info().misses == sum(a + 3 for a in range(13))
 
 
 def test_q_hyper_sum_builds_one_series_value(monkeypatch):
@@ -268,6 +334,7 @@ def test_q_hyper_sum_builds_one_series_value(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(LaurentSeries, "__post_init__", counting)
+    qobjects._q_hyper_sum.cache_clear()
     s = q_hyper_sum((Monomial(-1, 1), Monomial(1, 2)), (Monomial(1, 3),), Q, 60)
     assert (s.min_exp, s.trunc_order) == (0, 60)
     assert 1 <= len(built) <= 2, len(built)  # the term-by-term form builds about 5 per step
@@ -282,7 +349,43 @@ def test_heine_inverts_each_pochhammer_once(monkeypatch):
         return inverse(self, order)
 
     monkeypatch.setattr(LaurentSeries, "inverse", counting)
-    identities._inverse_poch.cache_clear()
+    identities._poch_ratio.cache_clear()
     report = identities.verify("heine", order=60)
     assert report.status == "verified"
     assert inverted and max(inverted.values()) == 1, inverted.most_common(3)
+
+
+def test_serieswise_grid_builds_each_value_once(monkeypatch):
+    _clear_caches()
+    sums, binomials, muls = Counter(), Counter(), Counter()
+    real_sum, real_qbin, real_mul = q_hyper_sum, qbin, LaurentSeries.mul
+
+    def recording_sum(uppers, lowers, t, order):
+        key = (t, order) if t.is_zero() else (
+            tuple(sorted((u.exp, u.coeff) for u in uppers if not u.is_zero())),
+            tuple(sorted((l.exp, l.coeff) for l in lowers if not l.is_zero())), t, order)
+        sums[key] += 1
+        return real_sum(uppers, lowers, t, order)
+
+    def recording_qbin(a, b):
+        binomials[a, b] += 1
+        return real_qbin(a, b)
+
+    def counting_mul(self, other):
+        muls["mul"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(identities, "q_hyper_sum", recording_sum)
+    monkeypatch.setattr(qobjects, "qbin", recording_qbin)
+    monkeypatch.setattr(LaurentSeries, "mul", counting_mul)
+    for identity_id in ("cauchy", "cauchy_cor", "heine", "heine2", "qbinthm"):
+        assert identities.verify(identity_id, order=60).status == "verified"
+    # each distinct normalized sum and each qbin(a, b) is built once, though
+    # the grid asks for many of them repeatedly
+    built_sums = qobjects._q_hyper_sum.cache_info()
+    assert built_sums.misses == built_sums.currsize == len(sums)
+    assert built_sums.hits == sum(sums.values()) - len(sums) > 0
+    built_qbins = real_qbin.cache_info()
+    assert built_qbins.misses == built_qbins.currsize == len(binomials)
+    assert built_qbins.hits == sum(binomials.values()) - len(binomials) > 0
+    assert muls["mul"] <= 1200, muls  # 2,442 with a product chain per case
