@@ -116,7 +116,7 @@ def bracket_polynomial(m: int) -> BracketPolynomial:
             total[e] = total.get(e, 0) + sign * c
     lo = -m * (m - 1) // 2
     coeffs = [total.get(e, 0) for e in range(lo, 1)]
-    return BracketPolynomial(m, LaurentSeries(lo, tuple(coeffs), 1))
+    return BracketPolynomial(m, LaurentSeries.polynomial(coeffs, lo))
 
 
 @lru_cache(maxsize=None)
@@ -152,9 +152,8 @@ def gf_a_m_sum(m: int, order: int) -> LaurentSeries:
 def _full_bracket_quotient(m: int, order: int) -> LaurentSeries:
     # bracket / (q;q)_inf on the window [-m(m-1)/2, order)
     depth = m * (m - 1) // 2
-    bracket = bracket_polynomial(m).series.extend(order)
     qinv = euler_qinf(order + depth).inverse(order + depth)
-    return bracket.mul(qinv)
+    return bracket_polynomial(m).series.mul(qinv)
 
 
 def gf_a_m_thm(m: int, order: int) -> LaurentSeries:
@@ -181,12 +180,6 @@ def gf_a_m_thm_correction(m: int, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
-def _fit(poly: LaurentSeries, order: int) -> LaurentSeries:
-    # Window an exact polynomial to [min_exp, order); padding is sound
-    # because the value really is a polynomial.
-    return poly.truncate(order).extend(order)
-
-
 @lru_cache(maxsize=None)
 def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
     """Closed form for counts with smallest multiplicity >= m and difference l.
@@ -209,15 +202,12 @@ def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
         raise ValueError("order must be at least 1")
     depth = (m + 1) * (m + 2) // 2
     work = order + depth
-    bracket = _fit(poch_finite(_Q, 1, l), work)
+    bracket = poch_finite(_Q, 1, l)  # the exact polynomials, then one window
     for j in range(m + 1):
-        e = j + j * (j - 1) // 2
-        if e >= work:
-            break
         sign = -1 if j % 2 else 1
-        bracket = bracket.sub(_fit(qbin(l, j), work).shift(e).truncate(work).scale(sign))
-    num = _fit(poch_finite(_Q, 1, m), work).mul(_fit(poch_finite(_Q, 1, l - m - 1), work))
-    den_inv = _fit(poch_finite(_Q, 1, l), work).mul(_fit(poch_finite(_Q, 1, l), work)).inverse(work)
+        bracket = bracket.sub(qbin(l, j).shift(j + j * (j - 1) // 2).scale(sign))
+    num = poch_finite(_Q, 1, m).mul(poch_finite(_Q, 1, l - m - 1))
+    den_inv = poch_finite(_Q, 1, l).mul(poch_finite(_Q, 1, l)).inverse(work)
     sign = 1 if m % 2 else -1  # (-1)^(m+1)
     series = num.mul(bracket).mul(den_inv).scale(sign).shift(l + m + 1 - depth)
     return series.truncate(order)

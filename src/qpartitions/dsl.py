@@ -340,11 +340,6 @@ def parse(text: str):
 # ----------------------------------------------------------------------
 
 
-def _fit_poly(poly: LaurentSeries, w: int) -> LaurentSeries:
-    # windowing an exact polynomial to [min_exp, w) is always sound
-    return poly.truncate(w).extend(w)
-
-
 def _ev(node, w: int) -> LaurentSeries:
     # Contract: the returned window reaches at least w.  Children are
     # re-evaluated at larger windows when negative exponents would
@@ -375,12 +370,12 @@ def _ev(node, w: int) -> LaurentSeries:
         try:
             if node.length is None:
                 return poch_infinite(node.param, node.step, w)
-            return _fit_poly(poch_finite(node.param, node.step, node.length), w)
+            return poch_finite(node.param, node.step, node.length).truncate(w)
         except (PochhammerError, SeriesError) as exc:
             raise DslEvalError(f"cannot evaluate {format_ast(node)}: {exc}") from exc
     if isinstance(node, Qbin):
         try:
-            return _fit_poly(qbin(node.upper, node.lower), w)
+            return qbin(node.upper, node.lower).truncate(w)
         except (SeriesError, ValueError) as exc:
             raise DslEvalError(f"cannot evaluate {format_ast(node)}: {exc}") from exc
     raise TypeError(f"not an AST node: {node!r}")

@@ -50,12 +50,10 @@ class Identity(FrozenRecord):
     parameter dicts for a countwise entry, ``(params, lhs, rhs, exponents)``
     cases for a serieswise one.  ``sides(N)``, countwise entries only,
     returns the ``(lhs, rhs)`` evaluators, each called with a point's
-    parameters as keywords; it first reads whatever lies past the grid's
-    largest n, so that each plain enumeration key is swept once, to its
-    deepest read.  Sides call other modules through their attributes at
-    call time (``lambda n: cf.a3_via_p(n)``), never through a function
-    object stored here, so that a wrapper later set on the module (a
-    tracer's hook, a test's monkeypatch) sees every call.
+    parameters as keywords.  Sides call other modules through their
+    attributes at call time (``lambda n: cf.a3_via_p(n)``), never through a
+    function object stored here, so that a wrapper later set on the module
+    (a tracer's hook, a test's monkeypatch) sees every call.
 
     Field types: ``id``, ``kind`` (``"countwise"`` or ``"serieswise"``) and
     ``statement`` are ``str`` and ``bound`` an ``int``; ``grid`` is a
@@ -122,18 +120,9 @@ class VerificationReport(Record):
         }
 
 
-def _coeff0(s: LaurentSeries, n: int) -> int:
-    # Coefficient with the structural zero below min_exp made explicit;
-    # exponents at or past the window still raise.
-    if n < s.min_exp:
-        return 0
-    return s.coeff(n)
-
-
 def _count_grid(points, lhs, rhs):
     # Evaluated from the largest n down, so that each enumeration key is
-    # first asked for its largest n and swept once (see _HistCache); sides
-    # that read past n ask for that depth themselves first.
+    # first asked for its largest n and swept once (see _HistCache).
     # Counterexamples are returned in grid order.
     points = list(points)
     found = {}
@@ -147,7 +136,7 @@ def _count_grid(points, lhs, rhs):
 
 
 def _coeffs_over(s: LaurentSeries, exps: range) -> tuple[int, ...]:
-    # The coefficients at exps as _coeff0 reads them; exps must end inside
+    # The coefficients at exps as coeff reads them; exps must end inside
     # the window.
     lo = min(s.min_exp, exps.start)
     return s._span(lo, exps.stop)[exps.start - lo :: exps.step]
@@ -168,8 +157,8 @@ def _series_grid(cases):
             continue
         for e in exps:
             npts += 1
-            lv = _coeff0(lhs, e)
-            rv = _coeff0(rhs, e)
+            lv = lhs.coeff(e)
+            rv = rhs.coeff(e)
             if lv != rv:
                 ces.append({"params": {**params, "n": e}, "lhs": lv, "rhs": rv})
     return npts, ces
@@ -292,18 +281,20 @@ def _qbinthm_cases(w, incl):
 
 
 def _over_a2_sides(N):
-    en.count_pbar(N + 1)  # the deepest read: sweep the overpartition key once
+    # pbar from its closed form, so that the two sides share no sweep key
+    pbar = cf.gf_pbar(N + 2)
     return (
         lambda n: en.count_abar(2, n),
-        lambda n: 2 * en.count_pbar(n) - en.count_pbar(n + 1) + en.count_ubar(n + 1),
+        lambda n: 2 * pbar.coeff(n) - pbar.coeff(n + 1) + en.count_ubar(n + 1),
     )
 
 
 def _reg_a2_sides(N):
-    en.count_breg(2, N + 2)  # the deepest read: sweep the mod-2 key once
+    # b_2 from its closed form, so that the two sides share no sweep key
+    breg = cf.gf_breg(2, N + 3)
     return (
         lambda n: en.count_areg(2, 2, n),
-        lambda n: en.count_breg(2, n) + en.count_breg(2, n + 1) - en.count_breg(2, n + 2),
+        lambda n: breg.coeff(n) + breg.coeff(n + 1) - breg.coeff(n + 2),
     )
 
 

@@ -3,7 +3,9 @@
 Pochhammer parameters are restricted to integer monomials c*q**e.  Every
 generating function assembled downstream factors through these few
 primitives, all of which return :class:`~qpartitions.series.LaurentSeries`
-values with exact integer coefficients.  The Pochhammer products and
+values with exact integer coefficients.  ``poch_finite`` and ``qbin`` (its
+zero for b out of range too) return exact polynomials, the other builders
+values truncated at their ``order``.  The Pochhammer products and
 ``q_hyper_sum`` run on one coefficient list with the shared binomial list
 kernels of :mod:`qpartitions.series` and build a single series value at
 the end.
@@ -98,18 +100,17 @@ class Monomial(FrozenRecord):
 def poch_finite(a: Monomial, step: int, n: int) -> LaurentSeries:
     """The exact polynomial prod_{i=0}^{n-1} (1 - a*q^(step*i)).
 
-    The empty product (n == 0) is 1.  The result window is degree + 1, i.e.
-    the polynomial is stored exactly.
+    The empty product (n == 0) is 1.  The result is an exact value stored
+    on [0, degree + 1).
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
     if n < 0:
         raise ValueError("finite product length must be non-negative")
     if a.is_zero() or n == 0:
-        return LaurentSeries.one(1)
+        return LaurentSeries.polynomial((1,))
     degree = n * a.exp + step * n * (n - 1) // 2
-    out = poch_finite_window(a, step, n, degree + 1)
-    return out
+    return LaurentSeries.polynomial(poch_finite_window(a, step, n, degree + 1).coeffs)
 
 
 def poch_finite_window(a: Monomial, step: int, n: int, order: int) -> LaurentSeries:
@@ -269,16 +270,15 @@ def _q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
 
 
 def _poly_div_exact(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
-    # Exact polynomial division (den has constant term +-1); asserts the
-    # remainder vanishes, which doubles as a self-test of the inputs.
+    # Exact division of exact polynomials (den has constant term +-1): the
+    # quotient, num/den cut after degree deg_n - deg_d, must multiply back to
+    # num with no remainder, which doubles as a self-test of the inputs.
     deg_n = max((e for e, _ in num.terms()), default=0)
     deg_d = max((e for e, _ in den.terms()), default=0)
-    order = deg_n + 1
-    q = num.extend(order).mul(den.extend(order).inverse(order)).truncate(order)
-    check = q.mul(den.extend(order)).truncate(order)
-    if not check.eq_to(num.extend(order), order):
+    quotient = LaurentSeries.polynomial(num.mul(den.inverse(max(deg_n - deg_d, 0) + 1)).coeffs)
+    if not quotient.mul(den).sub(num).is_zero():
         raise SeriesError("polynomial division left a remainder")
-    return q.truncate(deg_n - deg_d + 1)
+    return quotient
 
 
 @lru_cache(maxsize=None)
@@ -292,16 +292,10 @@ def qbin(a: int, b: int) -> LaurentSeries:
     if a < 0:
         raise ValueError("upper index must be non-negative")
     if b < 0 or b > a:
-        return LaurentSeries.zero(1)
+        return LaurentSeries.polynomial((0,))
     q1 = Monomial.q()
-    num = poch_finite(q1, 1, a)
-    d1 = poch_finite(q1, 1, b)
-    d2 = poch_finite(q1, 1, a - b)
-    # extend before multiplying: the pessimistic product window would
-    # otherwise truncate the exact polynomial
-    w = d1.trunc_order + d2.trunc_order
-    den = d1.extend(w).mul(d2.extend(w))
-    return _poly_div_exact(num, den)
+    den = poch_finite(q1, 1, b).mul(poch_finite(q1, 1, a - b))
+    return _poly_div_exact(poch_finite(q1, 1, a), den)
 
 
 def qbinomial_theorem_lhs_rhs(n: int, z: Monomial, order: int):
@@ -317,13 +311,13 @@ def qbinomial_theorem_lhs_rhs(n: int, z: Monomial, order: int):
         raise WindowError(
             f"order {order} cannot hold the degree-{degree} polynomials exactly"
         )
-    lhs = poch_finite(z, 1, n).extend(order)
+    lhs = poch_finite(z, 1, n).truncate(order)
     rhs = LaurentSeries.zero(order)
     for j in range(n + 1):
         zj = z.power(j)  # zero only for j >= 1 with z = 0
         if zj.is_zero():
             continue
         sign = -1 if j % 2 else 1
-        term = qbin(n, j).extend(order).shift(zj.exp + j * (j - 1) // 2)
-        rhs = rhs.add(term.scale(sign * zj.coeff).truncate(order))
+        term = qbin(n, j).shift(zj.exp + j * (j - 1) // 2)
+        rhs = rhs.add(term.scale(sign * zj.coeff))
     return lhs, rhs

@@ -1,10 +1,12 @@
-"""Truncated formal Laurent series over the integers.
+"""Truncated formal Laurent series over the integers, and exact polynomials.
 
 A series value stores exact integer coefficients for every exponent e with
 ``min_exp <= e < trunc_order``.  Exponents below ``min_exp`` are structurally
-zero; exponents at or past ``trunc_order`` are *unknown*, and reading them is
-an error rather than a silent zero.  All operations propagate the truncation
-window pessimistically, so a coefficient you can read is always correct.
+zero.  Past ``trunc_order`` an *exact* value (a Laurent polynomial) is zero,
+while a *truncated* value is *unknown*, and reading it there is an error
+rather than a silent zero.  Ring operations on exact values stay exact; a
+truncated operand's window propagates pessimistically, so a coefficient you
+can read is always correct.  ``truncate`` puts a polynomial on a window.
 
 Values are immutable; every operation returns a new series.
 
@@ -99,28 +101,31 @@ def _div_binomial_list(x: list[int], c: int, j: int) -> None:
 
 
 class LaurentSeries(FrozenRecord):
-    """A Laurent series truncated at ``trunc_order``.
+    """A Laurent series truncated at ``trunc_order``, or an exact polynomial.
 
     ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``; the tuple spans
-    the whole window, so ``len(coeffs) == trunc_order - min_exp``.
+    the whole stored window, so ``len(coeffs) == trunc_order - min_exp``.
+    With ``exact`` the coefficients past ``trunc_order`` are known zeros.
     """
 
-    __match_args__ = ("min_exp", "coeffs", "trunc_order")
+    __match_args__ = ("min_exp", "coeffs", "trunc_order", "exact")
 
-    def __init__(self, min_exp: int, coeffs: tuple[int, ...], trunc_order: int) -> None:
+    def __init__(self, min_exp: int, coeffs: tuple[int, ...], trunc_order: int,
+                 exact: bool = False) -> None:
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "trunc_order", trunc_order)
+        object.__setattr__(self, "exact", exact)
         self.__post_init__()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.min_exp, self.coeffs, self.trunc_order) == (
-                other.min_exp, other.coeffs, other.trunc_order)
+            return (self.min_exp, self.coeffs, self.trunc_order, self.exact) == (
+                other.min_exp, other.coeffs, other.trunc_order, other.exact)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.min_exp, self.coeffs, self.trunc_order))
+        return hash((self.min_exp, self.coeffs, self.trunc_order, self.exact))
 
     def __post_init__(self) -> None:
         if self.min_exp > self.trunc_order:
@@ -162,8 +167,8 @@ class LaurentSeries(FrozenRecord):
     def from_coeffs(cls, coeffs, min_exp: int = 0, order: int | None = None) -> "LaurentSeries":
         """Series from a coefficient list starting at ``min_exp``.
 
-        With ``order`` given, the list is zero-padded (the extra coefficients
-        are declared exactly zero, as for a polynomial).
+        With ``order`` given, the list is zero-padded to that window end; the
+        value is truncated there (see :meth:`polynomial` for exact values).
         """
         coeffs = list(coeffs)
         if order is None:
@@ -173,24 +178,35 @@ class LaurentSeries(FrozenRecord):
             raise WindowError("order smaller than the provided coefficients")
         return cls(min_exp, tuple(coeffs) + (0,) * pad, order)
 
+    @classmethod
+    def polynomial(cls, coeffs, min_exp: int = 0) -> "LaurentSeries":
+        """The exact Laurent polynomial with these coefficients from ``min_exp``."""
+        coeffs = tuple(coeffs)
+        return cls(min_exp, coeffs, min_exp + len(coeffs), True)
+
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
 
     def coeff(self, n: int) -> int:
-        """The coefficient of q**n; raises WindowError outside the window."""
-        if not self.min_exp <= n < self.trunc_order:
-            raise WindowError(
-                f"exponent {n} outside known window [{self.min_exp}, {self.trunc_order})"
-            )
-        return self.coeffs[n - self.min_exp]
+        """The coefficient of q**n: 0 below ``min_exp`` and past an exact
+        value's support; raises WindowError past a truncated window."""
+        if n < self.trunc_order:
+            return self.coeffs[n - self.min_exp] if n >= self.min_exp else 0
+        if self.exact:
+            return 0
+        raise WindowError(
+            f"exponent {n} outside known window [{self.min_exp}, {self.trunc_order})"
+        )
 
     def _span(self, lo: int, hi: int) -> tuple[int, ...]:
         # Coefficients of q**lo .. q**(hi-1), the structural zeros below
-        # min_exp as a prefix pad; the caller guarantees lo <= min_exp and
-        # hi <= trunc_order (lo > hi gives the empty tuple).
+        # min_exp as a prefix pad (an exact value's past trunc_order as a
+        # suffix); the caller guarantees lo <= min_exp and, unless the value
+        # is exact, hi <= trunc_order (lo > hi gives the empty tuple).
         m = self.min_exp
-        return (0,) * (min(m, hi) - lo) + self.coeffs[: max(hi - m, 0)]
+        return ((0,) * (min(m, hi) - lo) + self.coeffs[: max(hi - m, 0)]
+                + (0,) * (hi - self.trunc_order))
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if none stored."""
@@ -213,9 +229,10 @@ class LaurentSeries(FrozenRecord):
         """Coefficientwise equality for all exponents below ``order``.
 
         Leading zeros are ignored: an exponent below one operand's min_exp
-        compares as zero.  Requires both windows to reach ``order``.
+        compares as zero.  Requires each truncated operand's window to
+        reach ``order``; an exact operand reaches every order.
         """
-        if order > self.trunc_order or order > other.trunc_order:
+        if any(order > s.trunc_order for s in (self, other) if not s.exact):
             raise WindowError(
                 f"comparison order {order} exceeds a window "
                 f"({self.trunc_order}, {other.trunc_order})"
@@ -228,16 +245,20 @@ class LaurentSeries(FrozenRecord):
     # ------------------------------------------------------------------
 
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
-        """Coefficientwise sum; the window shrinks to what both sides know."""
+        """Coefficientwise sum; the window shrinks to what both sides know,
+        and the sum of two exact values is exact."""
         lo = min(self.min_exp, other.min_exp)
-        hi = min(self.trunc_order, other.trunc_order)
-        if lo > hi:
-            lo = hi
+        exact = self.exact and other.exact
+        if exact:
+            hi = max(self.trunc_order, other.trunc_order)
+        else:
+            hi = min([s.trunc_order for s in (self, other) if not s.exact])
+            lo = min(lo, hi)
         out = tuple(map(operator.add, self._span(lo, hi), other._span(lo, hi)))
-        return LaurentSeries(lo, out, hi)
+        return LaurentSeries(lo, out, hi, exact)
 
     def neg(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_exp, tuple([-x for x in self.coeffs]), self.trunc_order)
+        return self.scale(-1)
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
@@ -247,18 +268,24 @@ class LaurentSeries(FrozenRecord):
         scaling by 1 returns this value itself."""
         if c == 1:
             return self
-        return LaurentSeries(self.min_exp, tuple([c * x for x in self.coeffs]), self.trunc_order)
+        return LaurentSeries(self.min_exp, tuple([c * x for x in self.coeffs]), self.trunc_order,
+                             self.exact)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Cauchy product on the largest window the inputs can certify.
 
-        The result is known for e < min(a.trunc + b.min, b.trunc + a.min):
-        past that, coefficients would need unknown terms of one factor.
+        Two exact factors give their full, exact product.  Otherwise the
+        result is known for e < b.trunc + a.min for each truncated factor b
+        and its cofactor a: past that, coefficients would need unknown terms.
         """
+        a, b = self.coeffs, other.coeffs
         lo = self.min_exp + other.min_exp
-        hi = min(self.trunc_order + other.min_exp, other.trunc_order + self.min_exp)
-        n = hi - lo  # == min(len(a), len(b)) window lengths
-        return LaurentSeries(lo, _kronecker(self.coeffs, other.coeffs, n), hi)
+        exact = self.exact and other.exact
+        if exact:
+            n = max(len(a) + len(b) - 1, 0)
+        else:
+            n = min(len(b) if self.exact else len(a), len(a) if other.exact else len(b))
+        return LaurentSeries(lo, _kronecker(a, b, n), lo + n, exact)
 
     def inverse(self, order: int) -> "LaurentSeries":
         """Multiplicative inverse with ``order`` computed coefficients.
@@ -279,13 +306,14 @@ class LaurentSeries(FrozenRecord):
             )
         if order < 1:
             raise WindowError("inverse needs a positive number of coefficients")
-        if v + order > self.trunc_order:
+        if v + order > self.trunc_order and not self.exact:
             raise WindowError(
                 f"inverse to {order} coefficients needs the input known on "
                 f"[{v}, {v + order}), but its window ends at {self.trunc_order}"
             )
         base = v - self.min_exp
         u = self.coeffs[base : base + order]
+        u += (0,) * (order - len(u))  # an exact value's zeros past its support
         k = min(order, _NEWTON_BASE)
         inv = [0] * k
         inv[0] = u0  # 1/u0 == u0 for u0 = +-1
@@ -310,43 +338,41 @@ class LaurentSeries(FrozenRecord):
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q**k: exponents and window translate by k."""
-        return LaurentSeries(self.min_exp + k, self.coeffs, self.trunc_order + k)
+        return LaurentSeries(self.min_exp + k, self.coeffs, self.trunc_order + k, self.exact)
 
     def pos_part(self) -> "LaurentSeries":
         """Keep only exponents >= 1 (window unchanged)."""
         out = tuple(
             c if self.min_exp + i >= 1 else 0 for i, c in enumerate(self.coeffs)
         )
-        return LaurentSeries(self.min_exp, out, self.trunc_order)
+        return LaurentSeries(self.min_exp, out, self.trunc_order, self.exact)
 
     def nonpos_part(self) -> "LaurentSeries":
         """Keep only exponents <= 0 (window unchanged)."""
         out = tuple(
             c if self.min_exp + i <= 0 else 0 for i, c in enumerate(self.coeffs)
         )
-        return LaurentSeries(self.min_exp, out, self.trunc_order)
+        return LaurentSeries(self.min_exp, out, self.trunc_order, self.exact)
 
     def truncate(self, order: int) -> "LaurentSeries":
-        """Shrink the window to end at ``order`` (never unsound)."""
-        hi = min(self.trunc_order, order)
-        if hi >= self.trunc_order:
+        """The truncated value on the window ending at ``order`` (never
+        unsound); an exact value's window is [min(min_exp, order), order)."""
+        if order >= self.trunc_order and not self.exact:
             return self
-        lo = min(self.min_exp, hi)
-        return LaurentSeries(lo, self.coeffs[: hi - lo], hi)
+        lo = min(self.min_exp, order)
+        return LaurentSeries(lo, self._span(lo, order), order)
 
     def extend(self, order: int) -> "LaurentSeries":
-        """Declare zero coefficients up to ``order``.
-
-        Only valid when the value is an exact (Laurent) polynomial whose
-        support ends inside the current window; the caller asserts that.
-        """
-        if order <= self.trunc_order:
+        """This value, if it is known below ``order``; a truncated value
+        never pads unknown coefficients with zeros, it raises WindowError."""
+        if self.exact or order <= self.trunc_order:
             return self
-        pad = (0,) * (order - self.trunc_order)
-        return LaurentSeries(self.min_exp, self.coeffs + pad, order)
+        raise WindowError(
+            f"order {order} past the known window [{self.min_exp}, {self.trunc_order})"
+        )
 
     # ------------------------------------------------------------------
-    # in-window binomial helpers (window-preserving, O(len) each)
+    # in-window binomial helpers (window-preserving, O(len) each, truncated)
     # ------------------------------------------------------------------
 
     def mul_binomial(self, c: int, j: int) -> "LaurentSeries":
@@ -394,4 +420,4 @@ class LaurentSeries(FrozenRecord):
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         body = " ".join(parts) if parts else "0"
-        return f"{body} + O(q^{self.trunc_order})"
+        return body if self.exact else f"{body} + O(q^{self.trunc_order})"

@@ -104,14 +104,12 @@ def test_criterion_06_fixed_difference_closed_form():
         for m in range(1, l):
             gf = qp.gf_a_m_diff(m, l, 51)
             for n in range(1, 51):
-                c = gf.coeff(n) if n >= gf.min_exp else 0
-                assert c == qp.count_a_diff(m, n, l), (m, l, n)
+                assert gf.coeff(n) == qp.count_a_diff(m, n, l), (m, l, n)
     # m = 1 is the plain fixed-difference count (no multiplicity constraint)
     for l in range(2, 9):
         gf = qp.gf_a_m_diff(1, l, 51)
         for n in range(1, 51):
-            c = gf.coeff(n) if n >= gf.min_exp else 0
-            assert c == qp.count_p_fixed_diff(n, l), (l, n)
+            assert gf.coeff(n) == qp.count_p_fixed_diff(n, l), (l, n)
     print("criterion 6 PASS: fixed-difference closed form, 1 <= m < l <= 8, n <= 50")
 
 
@@ -209,7 +207,7 @@ def test_criterion_10_difference_decomposition():
     print("criterion 10 NOTE: decomposition as displayed is off by one for "
           "n = 2 and odd n; exact on even n >= 4 (verified to 60)")
     alt = qp.gf_abar_m_alt(2, 21)
-    coeffs = [(alt.coeff(n) if n >= alt.min_exp else 0) for n in range(1, 21)]
+    coeffs = [alt.coeff(n) for n in range(1, 21)]
     print(f"criterion 10 NOTE: distinct-overline-convention GF, first 20 "
           f"coefficients: {coeffs}")
     assert len(coeffs) == 20 and coeffs[1] == 1  # starts at q^2 for m = 2
@@ -248,10 +246,9 @@ def test_criterion_11_property_suites():
         for b in range(a + 1):
             lhs = qp.qbin(a, b)
             w = lhs.trunc_order + b + 1
-            assert lhs.extend(w).eq_to(qp.qbin(a, a - b).extend(w), w)
-            rec = qp.qbin(a - 1, b - 1).extend(w)
-            rec = rec.add(qp.qbin(a - 1, b).extend(w - b).shift(b).truncate(w))
-            assert lhs.extend(w).eq_to(rec, w)
+            assert lhs.eq_to(qp.qbin(a, a - b), w)
+            rec = qp.qbin(a - 1, b - 1).add(qp.qbin(a - 1, b).shift(b))
+            assert lhs.eq_to(rec, w)
 
     for n in range(1, 31):
         assert qp.count_pbar(n) % 2 == 0, n

@@ -35,8 +35,7 @@ from qpartitions.series import LaurentSeries
 
 def series_matches_counts(series, counter, upto):
     for n in range(1, upto):
-        c = series.coeff(n) if n >= series.min_exp else 0
-        if c != counter(n):
+        if series.coeff(n) != counter(n):
             return False, n
     return True, None
 

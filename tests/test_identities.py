@@ -172,8 +172,8 @@ def _walk_grid(cases):
     for params, lhs, rhs, exps in cases:
         for e in exps:
             npts += 1
-            lv = lhs.coeff(e) if e >= lhs.min_exp else 0
-            rv = rhs.coeff(e) if e >= rhs.min_exp else 0
+            lv = lhs.coeff(e)
+            rv = rhs.coeff(e)
             if lv != rv:
                 ces.append({"params": {**params, "n": e}, "lhs": lv, "rhs": rv})
     return npts, ces
@@ -202,16 +202,17 @@ def test_series_grid_fast_path_matches_the_walk(monkeypatch):
         ({"k": "short, covered"}, _poly(_BASE), _poly(_BASE[:10]), range(2, 10)),
         ({"k": "empty"}, _poly(_BASE), _poly(wrong), range(0)),
     ]
+    want = _walk_grid(cases)
     walked = []
-    coeff0 = identities._coeff0
+    coeff = LaurentSeries.coeff
 
     def spy(s, n):
         walked.append(n)
-        return coeff0(s, n)
+        return coeff(s, n)
 
-    monkeypatch.setattr(identities, "_coeff0", spy)
+    monkeypatch.setattr(LaurentSeries, "coeff", spy)
     got = identities._series_grid(cases)
-    assert got == _walk_grid(cases)
+    assert got == want
     assert got[0] == 20 + 20 + 10 + 4 + 5 + 5 + 20 + 19 + 8
     # counterexamples in grid order, a late side reading 0 below its min_exp
     assert [(ce["params"]["k"], ce["params"]["n"], ce["lhs"], ce["rhs"]) for ce in got[1]] == [
@@ -273,11 +274,11 @@ def test_sweep_budget(record_sweeps):
     keys = [a[1:] for a in plain]
     assert len(keys) == len(set(keys))  # every key (the Q_{l,k} ones too) once
 
-    # sides that read past n (n + 1, n + 2), and a grid whose last points
-    # are not its deepest, still sweep each plain key once, to its depth
+    # a grid whose last points are not its deepest still sweeps each plain
+    # key once, to its depth; over_a2 and reg_a2 sweep only their left side
     for identity_id, incl, depths in (
-        ("over_a2", False, {(1, None, True): 21}),
-        ("reg_a2", False, {(1, 2, False): 62}),
+        ("over_a2", False, {(1, None, True): 20}),
+        ("reg_a2", False, {(1, 2, False): 60}),
         ("reg_div", False, {(1, l, False): 48 for l in (2, 3, 4)} | {(1, 5, False): 45}),
         ("reg_div", True, {(1, l, False): 48 for l in (2, 3, 4, 5)}),
     ):
@@ -379,6 +380,69 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
             assert [sum(h.values()) for h in hists[1:]] == [
                 en.count_p(n) for n in range(1, depth + 1)
             ]
+
+
+def test_each_countwise_side_reads_its_own_sources(record_sweeps, monkeypatch):
+    # What each side of every countwise entry reads at its default grid, from
+    # a run with the sweeps stubbed out: the sweep keys (tuples), p(n) from
+    # the pentagonal recurrence and the closed forms (names).  Preparing the
+    # sides reads no sweep key, so every sweep is charged to one side; no
+    # entry's two sides share a key; and exactly the three p-combination
+    # entries have no enumeration side.
+    log = []
+    swept, get = en._HistCache._swept, en._HistCache.get
+
+    def spy_swept(self, key, n, *args):
+        log.append(key)
+        return swept(self, key, n, *args)
+
+    def spy_get(self, n, **kw):
+        if kw.get("diff") is not None:
+            log.append(("diff", n, *sorted(kw.items())))
+        return get(self, n, **kw)
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            log.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(en._HistCache, "_swept", spy_swept)
+    monkeypatch.setattr(en._HistCache, "get", spy_get)
+    for name in ("gf_a_m_sum", "gf_pbar", "gf_breg", "a2_via_p", "a3_via_p", "a4_via_p",
+                 "aG1_via_p", "remark7_rhs"):
+        monkeypatch.setattr(cf, name, recording(name, getattr(cf, name)))
+    monkeypatch.setattr(cf, "count_p", recording("count_p", en.count_p))
+    record_sweeps(tally=False)
+
+    def split(entries):
+        return ({x for x in entries if isinstance(x, str)},
+                {x for x in entries if isinstance(x, tuple)})
+
+    reads, shared, no_enumeration = {}, {}, set()
+    for ident in registry():
+        if ident.kind != "countwise":
+            continue
+        del log[:]
+        sides = ident.sides(ident.bound)
+        prep = split(log)
+        seen = ([], [])
+        for params in ident.points(ident.bound, False):
+            for side, fn in zip(seen, sides):
+                del log[:]
+                fn(**params)
+                side += log
+        (lcalls, lkeys), (rcalls, rkeys) = split(seen[0]), split(seen[1])
+        reads[ident.id] = (prep, lkeys, rcalls, rkeys)
+        if prep[1] or lkeys & rkeys:
+            shared[ident.id] = prep[1] | (lkeys & rkeys)
+        if not lkeys and not rkeys:
+            no_enumeration.add(ident.id)
+            assert prep[0] == {"gf_a_m_sum"} and "count_p" in rcalls, ident.id
+    assert shared == {}
+    assert no_enumeration == {"prop1", "thm_a3", "thm_a4"}
+    assert reads["over_a2"] == (({"gf_pbar"}, set()), {(1, None, True)}, set(), {("ubar",)})
+    assert reads["reg_a2"] == (({"gf_breg"}, set()), {(1, 2, False)}, set(), set())
 
 
 def test_report_invariants():

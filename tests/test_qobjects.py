@@ -18,13 +18,13 @@ from qpartitions.qobjects import (
     qbin,
     qbinomial_theorem_lhs_rhs,
 )
-from qpartitions.series import LaurentSeries, NonInvertibleError, WindowError
+from qpartitions.series import LaurentSeries, NonInvertibleError, SeriesError, WindowError
 
 Q = Monomial.q()
 
 
 def coeffs(series, upto):
-    return [series.coeff(e) if series.min_exp <= e else 0 for e in range(upto)]
+    return [series.coeff(e) for e in range(upto)]
 
 
 def test_monomial_basics():
@@ -48,7 +48,7 @@ def test_poch_finite_examples():
 def test_poch_finite_window_matches_exact():
     full = poch_finite(Q, 1, 6)
     win = poch_finite_window(Q, 1, 6, 10)
-    assert win.eq_to(full.extend(22), 10)
+    assert win.eq_to(full, 10) and full.exact and not win.exact
 
 
 def test_poch_infinite_examples():
@@ -133,15 +133,13 @@ def test_qbin_symmetry_and_pascal():
         for b in range(a + 1):
             lhs = qbin(a, b)
             rhs = qbin(a, a - b)
-            w = max(lhs.trunc_order, rhs.trunc_order)
-            assert lhs.extend(w).eq_to(rhs.extend(w), w)
+            assert lhs.exact and lhs == rhs
             assert all(c >= 0 for _, c in lhs.terms())
             deg = max((e for e, c in lhs.terms() if c), default=0)
             assert deg == b * (a - b)
             if a >= 1 and 0 <= b:
-                rec = qbin(a - 1, b - 1).extend(w + b)
-                rec = rec.add(qbin(a - 1, b).extend(w).shift(b).truncate(w + b))
-                assert lhs.extend(w + b).eq_to(rec, w)
+                rec = qbin(a - 1, b - 1).add(qbin(a - 1, b).shift(b))
+                assert rec.exact and lhs.sub(rec).is_zero()
 
 
 def test_qbinomial_theorem():
@@ -149,7 +147,7 @@ def test_qbinomial_theorem():
     assert lhs.coeff(0) == 1 and lhs.eq_to(rhs, 5)
     lhs, rhs = qbinomial_theorem_lhs_rhs(3, Q, 10)
     assert lhs.eq_to(rhs, 10)
-    assert lhs.eq_to(poch_finite(Q, 1, 3).extend(10), 7)
+    assert lhs.eq_to(poch_finite(Q, 1, 3), 10) and lhs.trunc_order == 10
     lhs, rhs = qbinomial_theorem_lhs_rhs(5, Monomial(-1, 2), 40)
     assert lhs.eq_to(rhs, 40)
     with pytest.raises(WindowError):
@@ -300,19 +298,31 @@ def test_q_hyper_sum_memo_shares_one_value_per_normalized_key(uppers, lowers, t)
 
 def _gaussian_by_division(a, b):
     # (q)_a / ((q)_b (q)_{a-b}) by a series inverse on a window holding every
-    # polynomial exactly, without qbin and its cache
+    # polynomial exactly, without qbin and its cache; an exact value
     if not 0 <= b <= a:
-        return LaurentSeries.zero(1)
+        return LaurentSeries.polynomial([0])
     w = a * (a + 1) // 2 + 1
 
-    def exact(s):
+    def windowed(s):
         return LaurentSeries.from_coeffs(s.coeffs, 0, w)
 
-    den = exact(poch_finite(Q, 1, b)).mul(exact(poch_finite(Q, 1, a - b)))
-    quotient = exact(poch_finite(Q, 1, a)).mul(den.inverse(w))
+    den = windowed(poch_finite(Q, 1, b)).mul(windowed(poch_finite(Q, 1, a - b)))
+    quotient = windowed(poch_finite(Q, 1, a)).mul(den.inverse(w))
     degree = b * (a - b)
     assert not any(quotient.coeffs[degree + 1:])  # the quotient is a polynomial
-    return quotient.truncate(degree + 1)
+    return LaurentSeries.polynomial(quotient.coeffs[: degree + 1])
+
+
+def test_poly_div_exact_checks_the_remainder():
+    one_minus_q = LaurentSeries.polynomial([1, -1])
+    quotient = qobjects._poly_div_exact(LaurentSeries.polynomial([1, 0, 0, -1]), one_minus_q)
+    assert quotient == LaurentSeries.polynomial([1, 1, 1])
+    # (1 + q^3)/(1 - q) leaves the remainder 2q^3: 1 + q + q^2 is not its quotient
+    with pytest.raises(SeriesError, match="remainder"):
+        qobjects._poly_div_exact(LaurentSeries.polynomial([1, 0, 0, 1]), one_minus_q)
+    # a divisor of higher degree than a nonzero dividend
+    with pytest.raises(SeriesError, match="remainder"):
+        qobjects._poly_div_exact(LaurentSeries.polynomial([1, 1]), qbin(4, 2))
 
 
 def test_qbin_memo_matches_pochhammer_quotient():

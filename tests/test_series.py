@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qpartitions.qobjects import Monomial, poch_finite
 from qpartitions.series import LaurentSeries, NonInvertibleError, WindowError
 
 LS = LaurentSeries
@@ -86,10 +87,13 @@ def test_inverse_rejects_non_unit_and_zero():
 
 
 def test_inverse_needs_window():
-    small = LS.from_coeffs([1, -1], 0, 2)  # exact polynomial, narrow window
+    small = LS.from_coeffs([1, -1], 0, 2)  # truncated, narrow window
     with pytest.raises(WindowError):
         small.inverse(10)
-    assert small.extend(10).inverse(10).coeff(9) == 1
+    exact = LS.polynomial([1, -1])  # the same coefficients, known zero past q^1
+    inv = exact.inverse(10)
+    assert (inv.min_exp, inv.trunc_order, inv.exact) == (0, 10, False)
+    assert inv.coeff(9) == 1
 
 
 def test_inverse_negative_valuation():
@@ -142,8 +146,7 @@ def test_coeff_out_of_window():
     a = LS.from_coeffs([1, 2], 0, 2)
     with pytest.raises(WindowError):
         a.coeff(2)
-    with pytest.raises(WindowError):
-        a.coeff(-1)
+    assert a.coeff(-1) == 0  # below min_exp: a structural zero
     assert LS.zero(6).coeff(3) == 0
 
 
@@ -361,3 +364,130 @@ def test_inverse_across_newton_steps(order, u0):
     euler = LS.from_coeffs([u0, -u0, -u0, 0, 0, u0, 0, u0], 0, order)
     inv = euler.inverse(order)
     assert list(inv.coeffs) == _ref_inverse(euler.coeffs, order)
+
+
+# ----------------------------------------------------------------------
+# exact polynomials: known zero past their support
+# ----------------------------------------------------------------------
+
+
+def test_exact_product_keeps_every_coefficient():
+    q = Monomial.q()
+    prod = poch_finite(q, 1, 3).mul(poch_finite(q, 1, 4))  # degree 6 + 10
+    assert prod.exact and (prod.min_exp, prod.trunc_order) == (0, 17)
+    assert prod.coeff(16) == -1 and prod.coeff(17) == 0 and prod.coeff(10**6) == 0
+    assert str(LS.polynomial([1, -1]).mul(LS.polynomial([1, 1]))) == "1 - q^2"
+
+
+def test_reading_past_the_support():
+    exact = LS.polynomial([2, 0, -1], -1)
+    truncated = LS(-1, (2, 0, -1), 2)
+    for e in (-5, -2, 2, 3, 50):
+        assert exact.coeff(e) == 0
+    assert truncated.coeff(-2) == 0
+    for e in (2, 3, 50):
+        with pytest.raises(WindowError):
+            truncated.coeff(e)
+    assert [exact.coeff(e) for e in range(-1, 2)] == [truncated.coeff(e) for e in range(-1, 2)]
+    assert str(truncated) == "2*q^-1 - q + O(q^2)" and str(exact) == "2*q^-1 - q"
+
+
+def test_exact_times_truncated_window():
+    # known below trunc.trunc_order + exact.min_exp, from both sides
+    exact = LS.polynomial([1, 3, 0, 0, 0, 0, 5], -2)  # q^-2 (1 + 3q + 5q^6)
+    trunc = LS(1, (1, 1, 1, 1), 5)  # q/(1 - q) + O(q^5)
+    for prod in (exact.mul(trunc), trunc.mul(exact)):
+        assert not prod.exact
+        assert (prod.min_exp, prod.trunc_order) == (-1, 5 + -2)
+        assert [prod.coeff(e) for e in range(-1, 3)] == [1, 4, 4, 4]
+    # the exact operand, however long, never widens or narrows the window
+    assert LS.polynomial([1] * 40).mul(trunc).trunc_order == 5
+    assert LS.polynomial([7]).mul(trunc) == trunc.scale(7)
+
+
+def test_exact_add_and_truncate_windows():
+    a = LS.polynomial([1, 1], 2)  # q^2 + q^3
+    b = LS.polynomial([4], -1)
+    assert a.add(b) == LS.polynomial([4, 0, 0, 1, 1], -1)
+    assert a.sub(a) == LS.polynomial([0, 0], 2)
+    mixed = a.add(LS(0, (1, 1, 1), 3))
+    assert mixed == LS(0, (1, 1, 2), 3)
+    assert a.truncate(6) == LS(2, (1, 1, 0, 0), 6)
+    assert a.truncate(3) == LS(2, (1,), 3)
+    assert a.truncate(1) == LS(1, (), 1)
+    assert b.truncate(0) == LS(-1, (4,), 0)
+    assert a.eq_to(LS(0, (0, 0, 1, 1, 0), 5), 5) and a.eq_to(a.truncate(4), 4)
+    assert LS.polynomial([1]).eq_to(LS.polynomial([1, 0, 0]), 100)
+    with pytest.raises(WindowError):
+        a.eq_to(LS(0, (0, 0, 1, 1), 4), 5)
+
+
+def test_extend_no_longer_pads():
+    trunc = LS(0, (1, -1), 2)
+    assert trunc.extend(2) is trunc and trunc.extend(1) is trunc
+    with pytest.raises(WindowError):
+        trunc.extend(3)
+    exact = LS.polynomial([1, -1])
+    assert exact.extend(3) is exact and exact.extend(10**6) is exact
+
+
+def test_exact_and_truncated_values_differ():
+    exact = LS.polynomial([1, 2])
+    trunc = LS(0, (1, 2), 2)
+    assert exact.coeffs == trunc.coeffs and exact.trunc_order == trunc.trunc_order
+    assert exact != trunc and hash(exact) != hash(trunc)
+    assert len({exact, trunc}) == 2
+    assert exact == LS(0, (1, 2), 2, True) and hash(exact) == hash(LS(0, (1, 2), 2, True))
+
+
+def test_binomial_helpers_return_truncated_values():
+    exact = LS.polynomial([1, 2, 3])
+    for out in (exact.mul_binomial(1, 1), exact.div_binomial(1, 1)):
+        assert not out.exact and (out.min_exp, out.trunc_order) == (0, 3)
+    assert exact.mul_binomial(1, 1).coeffs == (1, 1, 1)
+
+
+def _ref_exact_mul(a, b):
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return LS.polynomial(out, a.min_exp + b.min_exp)
+
+
+def _ref_exact_add(a, b):
+    lo = min(a.min_exp, b.min_exp)
+    hi = max(a.trunc_order, b.trunc_order)
+    return LS.polynomial([a.coeff(e) + b.coeff(e) for e in range(lo, hi)], lo)
+
+
+def _exact(rng, max_len, bound):
+    a = _wide_series(rng, max_len, bound)
+    return LS.polynomial(a.coeffs, a.min_exp)
+
+
+def test_exact_ring_ops_match_term_by_term():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        bound = rng.choice((1, 9, 10**30))
+        a, b = _exact(rng, 40, bound), _exact(rng, 40, bound)
+        assert a.mul(b) == _ref_exact_mul(a, b)
+        assert a.add(b) == _ref_exact_add(a, b)
+        assert a.sub(b) == _ref_exact_add(a, b.neg())
+        assert a.neg() == LS.polynomial([-x for x in a.coeffs], a.min_exp)
+        k = rng.randint(-5, 5)
+        assert a.shift(k) == LS.polynomial(a.coeffs, a.min_exp + k)
+        assert a.pos_part().add(a.nonpos_part()) == a
+        for e in range(a.min_exp - 3, a.trunc_order + 3):
+            assert a.pos_part().coeff(e) == (a.coeff(e) if e >= 1 else 0)
+        # an exact factor against a truncated one: the truncated reference
+        # product of the exact operand written out on a wide enough window
+        t = _wide_series(rng, 40, bound)
+        hi = max(a.trunc_order + len(t.coeffs), t.trunc_order)
+        wide = LS(a.min_exp, tuple(a.coeff(e) for e in range(a.min_exp, hi)), hi)
+        assert a.mul(t) == t.mul(a) == _ref_mul(wide, t)
+        assert a.add(t) == t.add(a) == _ref_add(wide, t)
+        order = rng.randint(a.min_exp - 3, a.trunc_order + 3)
+        cut = a.truncate(order)
+        lo = min(a.min_exp, order)
+        assert cut == LS(lo, tuple(a.coeff(e) for e in range(lo, order)), order)

@@ -26,7 +26,7 @@ def _points(n, incl):
 
 # class -> (every field of one value, those of a value differing in one field)
 SAMPLES = {
-    LaurentSeries: ((0, (1, 2), 2), (0, (1, 3), 2)),
+    LaurentSeries: ((0, (1, 2), 2, False), (0, (1, 2), 2, True)),
     Monomial: ((-1, 2), (-1, 3)),
     PartitionFilter: ((1, 2, 3, 4), (1, 2, 3, 5)),
     BracketPolynomial: ((2, LaurentSeries(-1, (-1, 2), 1)), (3, LaurentSeries(-1, (-1, 2), 1))),
@@ -66,7 +66,7 @@ def test_every_record_class_is_sampled():
          "excluded_modulus=None)"),
         (bracket_polynomial(2),
          "BracketPolynomial(m=2, series=LaurentSeries(min_exp=-1, coeffs=(-1, 2), "
-         "trunc_order=1))"),
+         "trunc_order=1, exact=True))"),
         (parse("poch(-q;1;inf)^2+1"),
          "Add(left=Pow(base=Poch(param=Monomial(coeff=-1, exp=1), step=1, length=None), "
          "exponent=2), right=IntLit(value=1))"),
@@ -123,6 +123,8 @@ def test_keyword_and_default_construction():
     assert PartitionFilter() == PartitionFilter(None, None, None, None)
     assert PartitionFilter(excluded_modulus=3).excluded_modulus == 3
     assert LaurentSeries(min_exp=0, coeffs=(1,), trunc_order=1) == LaurentSeries(0, (1,), 1)
+    assert LaurentSeries(0, (1,), 1).exact is False
+    assert LaurentSeries(0, (1,), 1, exact=True) == LaurentSeries.polynomial((1,))
     ident = Identity(id="x", kind="countwise", statement="s", bound=5, grid=_grid, points=_points)
     assert ident.sides is None and ident == Identity("x", "countwise", "s", 5, _grid, _points, None)
     report = VerificationReport(identity="x", grid="g", status="skipped", points=0,
