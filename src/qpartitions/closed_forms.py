@@ -5,15 +5,16 @@ returns a truncated series; the enumeration module supplies the independent
 counts the identities harness compares them against.  All k/t summations
 truncate once the summand's lowest exponent leaves the window, which is
 sound because those exponents increase monotonically in the summation
-index.  :func:`gf_a_m_sum` runs its k-sum on coefficient lists with the
-binomial list kernels of :mod:`qpartitions.series`: term k is added at
-exponent k+m, so it is cut to order-k-m coefficients; one series value is
-built at the end.
+index.  :func:`gf_a_m_sum` evaluates its k-sum from the inside out
+(Horner form) on one coefficient list: each term costs one sparse add and
+one call of the binomial divide kernel of :mod:`qpartitions.series`, with
+no dense multiply, and one series value is built at the end.
+:func:`gf_a_m_diff` builds every factor, its Gaussian binomials included,
+on the window that its result reads, never the exact polynomials.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 from .enumeration import count_p, count_p_star, count_Q
@@ -21,13 +22,11 @@ from .qobjects import (
     Monomial,
     euler_qinf,
     multi_poch_infinite,
-    poch_finite,
     poch_finite_window,
     poch_infinite,
-    qbin,
 )
 from .record import FrozenRecord
-from .series import LaurentSeries, _div_binomial_list, _mul_binomial_list
+from .series import LaurentSeries, _div_binomial_list
 
 _Q = Monomial.q()
 
@@ -123,29 +122,36 @@ def bracket_polynomial(m: int) -> BracketPolynomial:
 def gf_a_m_sum(m: int, order: int) -> LaurentSeries:
     """Summation form: sum_k q^(k+m)/(q)_{k+m} * prod_{i=1}^{m-1}(1-q^(k+i)).
 
-    The k-sum runs on coefficient lists with the binomial list kernels of
-    :mod:`qpartitions.series`: one accumulator, one list for 1/(q)_{k+m}
-    and one term list.  Term k is added at exponent k+m, so it is cut to
-    order-k-m coefficients (the updates are causal, so the cut is exact),
-    factors (1 - q^e) with e past that live window act as 1 and are
-    skipped, and one series value is built at the end.
+    The k-sum is evaluated from the inside out.  With P_k the product
+    prod_{i=1}^{m-1}(1-q^(k+i)), the sum times (q)_m is
+    q^m P_0 + [q^(m+1) P_1 + [q^(m+2) P_2 + ...]/(1-q^(m+2))]/(1-q^(m+1)).
+    One coefficient list holds the bracket that starts at exponent k+m, on
+    [k+m, order): each step puts one 0 in front of it (the factor q), adds
+    the sparse P_k (at most 2^(m-1) terms; terms and factors past the live
+    window are dropped) and divides once by (1 - q^(k+m)).  The division of
+    the innermost bracket by (q)_m comes last.  Every step is causal, so
+    the cut to the window is exact; one series value is built at the end.
     """
     if m < 1 or order < 1:
         raise ValueError("requires m >= 1 and order >= 1")
-    acc = [0] * order
-    inv = [1] + [0] * (order - 1)
+    acc: list[int] = []  # the bracket starting at q^(k+m), on [k+m, order)
+    for k in range(order - m - 1, -1, -1):
+        acc.insert(0, 0)
+        live = len(acc)
+        poly = {0: 1}  # P_k, cut to the live window
+        for e in range(k + 1, min(k + m, live)):
+            nxt = dict(poly)
+            for x, c in poly.items():
+                if x + e < live:
+                    nxt[x + e] = nxt.get(x + e, 0) - c
+            poly = nxt
+        for x, c in poly.items():
+            acc[x] += c
+        if k:
+            _div_binomial_list(acc, 1, k + m)
     for i in range(1, m + 1):
-        _div_binomial_list(inv, 1, i)
-    for k in range(order - m):
-        off = k + m
-        live = order - off
-        del inv[live:]
-        term = inv[:]
-        for e in range(k + 1, min(off, live)):
-            _mul_binomial_list(term, 1, e)
-        acc[off:] = map(operator.add, acc[off:], term)
-        _div_binomial_list(inv, 1, off + 1)
-    return LaurentSeries(0, tuple(acc), order)
+        _div_binomial_list(acc, 1, i)
+    return LaurentSeries(0, (0,) * min(m, order) + tuple(acc), order)
 
 
 @lru_cache(maxsize=None)
@@ -190,6 +196,10 @@ def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
     The (q)_{l-m-1} factor is what the telescoped j-sum actually produces;
     the bracket's valuation (m+1)(m+2)/2 cancels the negative power, so the
     lowest surviving exponent is l+m+1, the smallest witness m*1 + (1+l).
+    So the result reads the product of the factors on [0, order + (m+1)(m+2)/2),
+    and every factor is built on that window only: the Pochhammer products
+    drop their factors past it, and qbin(l, j) is stepped from qbin(l, j-1)
+    by its product form (1-q^(l-j+1))/(1-q^j).
     """
     if l < 2:
         raise ValueError("requires difference l > 1")
@@ -202,15 +212,21 @@ def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
         raise ValueError("order must be at least 1")
     depth = (m + 1) * (m + 2) // 2
     work = order + depth
-    bracket = poch_finite(_Q, 1, l)  # the exact polynomials, then one window
+    lead = l + m + 1
+    poch_l = poch_finite_window(_Q, 1, l, work)
+    bracket = poch_l
+    gauss = LaurentSeries.one(work)  # qbin(l, j) on the window
     for j in range(m + 1):
-        sign = -1 if j % 2 else 1
-        bracket = bracket.sub(qbin(l, j).shift(j + j * (j - 1) // 2).scale(sign))
-    num = poch_finite(_Q, 1, m).mul(poch_finite(_Q, 1, l - m - 1))
-    den_inv = poch_finite(_Q, 1, l).mul(poch_finite(_Q, 1, l)).inverse(work)
+        if j:
+            gauss = gauss.mul_binomial(1, l - j + 1).div_binomial(1, j)
+        s = j + j * (j - 1) // 2
+        term = gauss.truncate(work - s).shift(s)
+        bracket = bracket.add(term) if j % 2 else bracket.sub(term)
+    num = poch_finite_window(_Q, 1, m, work).mul(poch_finite_window(_Q, 1, l - m - 1, work))
+    den_inv = poch_l.mul(poch_l).inverse(work)
+    series = num.mul(bracket).mul(den_inv)
     sign = 1 if m % 2 else -1  # (-1)^(m+1)
-    series = num.mul(bracket).mul(den_inv).scale(sign).shift(l + m + 1 - depth)
-    return series.truncate(order)
+    return series.truncate(work - lead).scale(sign).shift(lead - depth)
 
 
 # ----------------------------------------------------------------------

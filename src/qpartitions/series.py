@@ -18,16 +18,16 @@ into one integer and multiplies once with CPython's bigint product;
 Newton steps on the same kernel.  Every result is exact.
 
 The binomial kernels are in-place list kernels shared by the
-``mul_binomial``/``div_binomial`` methods, by :mod:`qpartitions.qobjects`,
+``mul_binomial``/``div_binomial`` methods and by :mod:`qpartitions.qobjects`,
 whose Pochhammer products and ``q_hyper_sum`` run on one list and build one
-series value at the end, and by ``closed_forms.gf_a_m_sum``, which does the
-same: :func:`_mul_binomial_list` is one pass over two aligned slices (a
-``map`` of ``operator.sub`` or ``operator.add`` for c = 1 or -1, the
-factors of (q)_n and (-q)_n, and a list comprehension for any other c),
-and :func:`_div_binomial_list` stays a running loop, since each
-coefficient needs the one j places before it.  The slice assignment
-consumes the whole ``map`` before it writes, so the pass reads only the
-old coefficients.
+series value at the end; ``closed_forms.gf_a_m_sum`` runs its nested
+k-sum on the divide kernel alone.  :func:`_mul_binomial_list` is one pass
+over two aligned slices (a ``map`` of ``operator.sub`` or ``operator.add``
+for c = 1 or -1, the factors of (q)_n and (-q)_n, and a list
+comprehension for any other c), and :func:`_div_binomial_list` stays a
+running loop, since each coefficient needs the one j places before it.
+The slice assignment consumes the whole ``map`` before it writes, so the
+pass reads only the old coefficients.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from qpartitions.enumeration import (
     count_p_fixed_diff,
     count_ubar,
 )
-from qpartitions.qobjects import Monomial, poch_finite_window
+from qpartitions.qobjects import Monomial, poch_finite, poch_finite_window, qbin
 from qpartitions.series import LaurentSeries
 
 
@@ -116,6 +116,11 @@ def test_gf_a_m_sum_matches_series_valued_reference():
     # wide windows for the multiplicities the catalog reads
     for m in (2, 3, 4):
         assert gf_a_m_sum(m, 400) == _reference_gf_a_m_sum(m, 400), m
+    # 2^(m-1) terms of prod_(i<m)(1-q^(k+i)) exceed the live window, so the
+    # sparse product is pruned
+    for m in (10, 16):
+        for order in (m, m + 1, m + 2, 40, 120):
+            assert gf_a_m_sum(m, order) == _reference_gf_a_m_sum(m, order), (m, order)
 
 
 @pytest.mark.parametrize("m, order", [(0, 10), (-1, 10), (3, 0), (3, -5), (0, 0)])
@@ -143,6 +148,30 @@ def test_gf_a_m_sum_builds_one_series_value(monkeypatch, m, order):
     assert 1 <= len(built) <= 3, len(built)  # the series-valued k-sum builds m + 3 per step
 
 
+def test_gf_a_m_sum_is_nested_divisions_without_multiplies(monkeypatch):
+    from qpartitions import closed_forms, series
+
+    calls = {"mul": 0, "div": 0}
+    mul, div = series._mul_binomial_list, series._div_binomial_list
+
+    def spy_mul(x, c, j):
+        calls["mul"] += 1
+        mul(x, c, j)
+
+    def spy_div(x, c, j):
+        calls["div"] += 1
+        div(x, c, j)
+
+    for mod in (series, closed_forms):
+        monkeypatch.setattr(mod, "_mul_binomial_list", spy_mul, raising=False)
+        monkeypatch.setattr(mod, "_div_binomial_list", spy_div)
+    gf_a_m_sum.cache_clear()
+    order = 60
+    gf_a_m_sum(3, order)
+    assert calls["mul"] == 0, calls
+    assert 1 <= calls["div"] <= order, calls
+
+
 def test_gf_a_m_thm_and_correction():
     assert gf_a_m_thm(2, 10).coeff(4) == 3
     for m in range(2, 7):
@@ -165,6 +194,53 @@ def test_gf_a_m_diff_against_enumeration():
             assert ok, (m, l, bad)
             val = gf.valuation()
             assert val == l + m + 1
+
+
+def _reference_gf_a_m_diff(m, l, order):
+    # the closed form built from the exact polynomials, then one window
+    depth = (m + 1) * (m + 2) // 2
+    work = order + depth
+    q = Monomial.q()
+    bracket = poch_finite(q, 1, l)
+    for j in range(m + 1):
+        sign = -1 if j % 2 else 1
+        bracket = bracket.sub(qbin(l, j).shift(j + j * (j - 1) // 2).scale(sign))
+    num = poch_finite(q, 1, m).mul(poch_finite(q, 1, l - m - 1))
+    den_inv = poch_finite(q, 1, l).mul(poch_finite(q, 1, l)).inverse(work)
+    sign = 1 if m % 2 else -1
+    series = num.mul(bracket).mul(den_inv).scale(sign).shift(l + m + 1 - depth)
+    return series.truncate(order)
+
+
+def test_gf_a_m_diff_matches_exact_polynomial_reference():
+    # the window edges: the result's window opens at order l+m+1-depth
+    # and its first coefficient that can be nonzero is at l+m+1
+    for l in range(2, 13):
+        for m in range(1, l):
+            lead = l + m + 1
+            low = lead - (m + 1) * (m + 2) // 2
+            edges = {1, 2, low - 1, low, low + 1, lead - 1, lead, lead + 1, 30, 60}
+            for order in sorted(o for o in edges if 1 <= o <= 60):
+                want = _reference_gf_a_m_diff(m, l, order)
+                assert gf_a_m_diff(m, l, order) == want, (m, l, order)
+
+
+def test_gf_a_m_diff_builds_only_its_window(monkeypatch):
+    m, l, order = 2, 300, 10
+    work = order + (m + 1) * (m + 2) // 2
+    windows = []
+    post_init = LaurentSeries.__post_init__
+
+    def recording(self):
+        windows.append((self.min_exp, self.trunc_order))
+        post_init(self)
+
+    monkeypatch.setattr(LaurentSeries, "__post_init__", recording)
+    gf_a_m_diff.cache_clear()
+    assert gf_a_m_diff(m, l, order).trunc_order == order
+    assert windows
+    wide = [w for w in windows if w[1] > work or w[1] - w[0] > work]
+    assert not wide, wide[:5]
 
 
 def test_gf_a_m_diff_domain():
