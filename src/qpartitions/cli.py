@@ -86,8 +86,9 @@ def _cmd_seq(args) -> int:
     from . import enumeration as en
 
     try:
-        # largest n first, so an enumeration counter sweeps once (see
-        # enumeration._HistCache); printed in ascending order
+        # largest n first, so an enumeration counter sweeps once, or twice
+        # with a fixed difference (see enumeration._HistCache); printed in
+        # ascending order
         rows = [(n, str(counter(en, params, n))) for n in range(args.to, args.frm - 1, -1)]
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -14,11 +14,12 @@ of the least allowed value ends its partition, so a plain sweep tallies
 those runs (most of its partitions) in a loop without push tests, and a
 fixed-difference sweep steps the copies of a middle value in a bare
 ``while`` loop, since most middle values fit only a few times.
-A sweep tallies only what its callers read: a fixed-difference sweep
-counts the partitions of the one n asked for, and a sweep without a
+A sweep tallies only what its callers read.  A sweep without a
 difference covers every n up to a bound, which a caller reading a range
-sets by asking for its largest n first (see ``_HistCache``).  ``count_p``
-alone uses the pentagonal-number recurrence.
+sets by asking for its largest n first.  A fixed-difference sweep counts
+the partitions of the one n asked for, until its shape is read at a
+second size; from then on it covers every n up to a bound as well (see
+``_HistCache``).  ``count_p`` alone uses the pentagonal-number recurrence.
 
 The u-bar counts are swept the same way.  An overpartition is a base
 partition plus a choice of overlined runs (at most one overline per value),
@@ -180,17 +181,73 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
     return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
 
 
-def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool):
-    # Exact target: tally only the partitions of nmax itself whose largest
-    # minus smallest part is t; index nmax of the result holds them, the
-    # rest stay empty.  For each largest part a (floor = a - t) the DFS
-    # walks run-prefixes: the run of a, then middle runs strictly between
-    # floor and a.  A prefix leaving rem closes with a floor run only when
-    # floor divides rem, and no prefix leaving less than one floor part is
-    # ever made.  Overpartitions weigh each partition by 2^runs.
+def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool,
+                every_n: bool = False):
+    # Partitions whose largest minus smallest part is t.  For each largest
+    # part a (floor = a - t) the DFS walks run-prefixes: the run of a, then
+    # middle runs strictly between floor and a, and no prefix leaving less
+    # than one floor part is ever made.  Overpartitions weigh each partition
+    # by 2^runs.
+    #
+    # Exact target (the default): tally only the partitions of nmax itself;
+    # index nmax of the result holds them, the rest stay empty.  A prefix
+    # leaving rem closes with a floor run only when floor divides rem.
+    #
+    # every_n: tally the partitions of every n <= nmax; each prefix closes
+    # with every floor run that fits, one increment per partition.  It
+    # walks the same prefixes as an exact sweep of nmax, but its closing
+    # loops make it cost several of those (about 5x at (120, 60)), so it
+    # pays only for a shape read at many sizes (see _HistCache).
+    w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
+    if every_n:
+        T = [[0] * (n // lo + 1) for n in range(nmax + 1)]
+        for a in range(lo + t, nmax + 1):
+            floor = a - t
+            if mod and (a % mod == 0 or floor % mod == 0):
+                continue
+            if t == 0:
+                c = 1
+                for u in range(a, nmax + 1, a):
+                    T[u][c] += w_largest
+                    c += 1
+                continue
+            # a prefix summing to more than top has no room for a floor
+            # part, and to more than room none for a middle run as well
+            top = nmax - floor
+            room = top - floor - 1
+            stack = []
+            push = stack.append
+            pop = stack.pop
+            for used in range(a, top + 1, a):
+                c = 1
+                for u in range(used + floor, nmax + 1, floor):
+                    T[u][c] += w_largest
+                    c += 1
+                if used <= room:
+                    push((a, used, w_largest))
+            while stack:
+                prev, used, w = pop()
+                if over:
+                    w += w
+                v = prev - 1
+                if v > top - used:
+                    v = top - used
+                while v > floor:
+                    if mod and v % mod == 0:
+                        v -= 1
+                        continue
+                    extend = v - 1 > floor
+                    for total in range(used + v, top + 1, v):
+                        c = 1
+                        for u in range(total + floor, nmax + 1, floor):
+                            T[u][c] += w
+                            c += 1
+                        if extend and total <= room:
+                            push((v, total, w))
+                    v -= 1
+        return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
     H: list[dict[int, int]] = [{} for _ in range(nmax + 1)]
     tally = [0] * (nmax + 1)  # by multiplicity of the floor run
-    w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
     for a in range(lo + t, nmax + 1):
         floor = a - t
         if mod and (a % mod == 0 or floor % mod == 0):
@@ -286,54 +343,63 @@ class _HistCache:
     Every sweep tallies only what some caller reads; sweeps stay brute
     force, visiting each counted partition once.
 
-    - Fixed-difference keys (``diff`` not None) are exact-target: a miss
-      sweeps partitions of exactly ``n`` and the histogram is memoised per
-      ``(lo, mod, diff, over, n)``.
     - Plain keys sweep every size up to a bound at once.  The first miss
       sweeps to ``n`` (at least 16, below which a sweep costs nothing);
       a later miss regrows with modest headroom, since a loop that asks
       for ascending n would otherwise sweep once per n.  Callers that read
       a range therefore ask for its largest n first, so that one sweep
       serves the whole range.
+    - A fixed-difference shape ``(lo, mod, diff, over)`` picks its sweep by
+      how it is read.  Its first miss is an exact-target sweep of that one
+      ``n``, memoised per ``n``: most shapes are read at one size only
+      (``remark7`` reads ``diff = n`` at ``2n``), where a range sweep would
+      cost several times more.  A miss at a second, different ``n`` makes
+      the shape ranged: from then on it is swept like a plain key, every
+      size up to a bound, so a reader of a whole row (``seq``, ``thm_and``)
+      sweeps it twice, or a few times if it reads in ascending order.
     - The u-bar key holds per-n totals (``_sweep_ubar``) and grows like a
       plain key.
     """
 
     def __init__(self) -> None:
-        self._plain: dict[tuple, tuple[int, list]] = {}
-        self._diff: dict[tuple, dict[int, int]] = {}
+        self._ranged: dict[tuple, tuple[int, list]] = {}
+        self._exact: dict[tuple, dict[int, dict[int, int]]] = {}
 
     def get(self, n: int, *, lo: int = 1, mod: int | None = None,
             diff: int | None = None, over: bool = False) -> dict[int, int]:
         if n < 0:
             return {}
-        if diff is not None:
-            key = (lo, mod, diff, over, n)
-            hist = self._diff.get(key)
-            if hist is None:
-                hist = _sweep_diff(n, diff, lo, mod, over)[n]
-                self._diff[key] = hist
+        if diff is None:
+            return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
+        shape = (lo, mod, diff, over)
+        exact = self._exact.get(shape)
+        if exact is None:
+            hist = _sweep_diff(n, diff, lo, mod, over)[n]
+            self._exact[shape] = {n: hist}
             return hist
-        return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
+        hist = exact.get(n)
+        if hist is None:
+            hist = self._swept(shape, n, _sweep_diff, diff, lo, mod, over, True)[n]
+        return hist
 
     def ubar(self, n: int) -> int:
         """The u-bar total of n >= 0, from a key grown like a plain one."""
         return self._swept(("ubar",), n, _sweep_ubar)[n]
 
     def _swept(self, key: tuple, n: int, sweep, *args) -> list:
-        entry = self._plain.get(key)
+        entry = self._ranged.get(key)
         if entry is None or entry[0] < n:
             # modest headroom: enumeration cost grows so fast in the bound
             # that doubling would dwarf the queries themselves
             old = entry[0] if entry else 0
             nmax = max(n, 16, old + max(8, old // 8))
             entry = (nmax, sweep(nmax, *args))
-            self._plain[key] = entry
+            self._ranged[key] = entry
         return entry[1]
 
     def clear(self) -> None:
-        self._plain.clear()
-        self._diff.clear()
+        self._ranged.clear()
+        self._exact.clear()
 
 
 _hists = _HistCache()

@@ -122,7 +122,8 @@ class VerificationReport(Record):
 
 def _count_grid(points, lhs, rhs):
     # Evaluated from the largest n down, so that each enumeration key is
-    # first asked for its largest n and swept once (see _HistCache).
+    # first asked for its largest n and swept once, or twice for a
+    # fixed-difference shape read at several n (see _HistCache).
     # Counterexamples are returned in grid order.
     points = list(points)
     found = {}
@@ -209,9 +210,8 @@ def _counted_a_cases(m_min, closed_form):
 def _thm_and_cases(w, incl):
     for l in range(2, 9):
         for m in range(1, l):
-            counted = LaurentSeries.from_coeffs(
-                [0] + [en.count_a_diff(m, n, l) for n in range(1, w)], 0, w
-            )
+            counts = [en.count_a_diff(m, n, l) for n in range(w - 1, 0, -1)]  # largest n first
+            counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
             yield {"m": m, "l": l}, counted, cf.gf_a_m_diff(m, l, w), range(1, w)
 
 

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -267,22 +268,46 @@ def test_counters_handle_small_n():
     assert count_a(3, -1) == 0
 
 
+@lru_cache(maxsize=None)
+def _diff_oracle(mod, over):
+    # (n_top, {(n, t): smallest-part multiplicity -> count}) from the
+    # lexicographic generators, for 0 <= n <= n_top and t <= 12, so t = 0
+    # and n < t are included; unrestricted overpartitions stop at 26 (there
+    # are 2.3M up to 36).  Both fixed-difference kernels are checked on it.
+    gen = gen_overpartitions if over else gen_partitions
+    n_top = 26 if over and mod is None else 36
+    want = {}
+    for n in range(n_top + 1):
+        for t in range(13):
+            hist = want[n, t] = Counter()
+            for parts in gen(n, PartitionFilter(exact_diff=t, excluded_modulus=mod)):
+                values = [p[0] for p in parts] if over else parts
+                hist[values.count(values[-1])] += 1
+    return n_top, want
+
+
 @pytest.mark.parametrize("over", [False, True])
 @pytest.mark.parametrize("mod", [None, 2, 3])
 def test_exact_target_diff_tallies_match_generators(mod, over):
-    # each fixed-difference histogram (smallest-part multiplicity -> count)
-    # against the lexicographic generators, t = 0 and N < t included;
-    # unrestricted overpartitions stop at 26 (there are 2.3M up to 36)
-    gen = gen_overpartitions if over else gen_partitions
-    n_top = 26 if over and mod is None else 36
-    for n in range(n_top + 1):
-        for t in range(13):
-            f = PartitionFilter(exact_diff=t, excluded_modulus=mod)
-            want = Counter()
-            for parts in gen(n, f):
-                values = [p[0] for p in parts] if over else parts
-                want[values.count(values[-1])] += 1
-            assert _hists.get(n, diff=t, mod=mod, over=over) == want, (n, t)
+    # each exact-target sweep of n holds the partitions of n alone
+    n_top, want = _diff_oracle(mod, over)
+    for (n, t), hist in want.items():
+        hists = _sweep_diff(n, t, 1, mod, over)
+        assert hists[n] == hist, (n, t)
+        assert not any(hists[:n]), (n, t)
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 2, 3])
+def test_range_diff_tallies_match_generators(mod, over):
+    # one range sweep per t holds every n up to its bound; the bound 8 is
+    # below t for t > 8, where every histogram is empty
+    n_top, want = _diff_oracle(mod, over)
+    for t in range(13):
+        for nmax in (n_top, 8):
+            hists = _sweep_diff(nmax, t, 1, mod, over, True)
+            assert len(hists) == nmax + 1
+            assert hists == [want[n, t] for n in range(nmax + 1)], (nmax, t)
 
 
 @pytest.mark.parametrize("over", [False, True])
@@ -315,6 +340,25 @@ def test_exact_target_diff_tallies_match_recorded(pin):
     hists = _sweep_diff(*pin["args"])
     assert hists[n] == {c: cnt for c, cnt in pin["hist"]}
     assert not any(hists[:n])
+
+
+# (120, 60) is left out: a range sweep there costs about 1 s, and no
+# caller reads that shape at a second size
+@pytest.mark.parametrize("pin", [e for e in PINS["diff"] if e["args"][:2] != [120, 60]],
+                         ids=lambda e: str(e["args"]))
+def test_range_diff_tallies_match_recorded(pin):
+    n = pin["args"][0]
+    hists = _sweep_diff(*pin["args"], True)
+    assert hists[n] == {c: cnt for c, cnt in pin["hist"]}
+
+
+@pytest.mark.parametrize("args", [(66, 20), (62, 15)], ids=str)
+def test_range_diff_matches_exact_target_at_every_n(args):
+    # the row shapes `seq p_diff` and `seq a_diff` read, at catalog scale
+    nmax, t = args
+    hists = _sweep_diff(nmax, t, 1, None, False, True)
+    for n in range(nmax + 1):
+        assert hists[n] == _sweep_diff(n, t, 1, None, False)[n], n
 
 
 def test_plain_sweep_tallies_match_recorded():

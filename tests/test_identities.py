@@ -291,7 +291,8 @@ def test_sweep_budget(record_sweeps):
     calls = record_sweeps()
     assert verify("remark7").status == "refuted"
     diffs = [args for name, args in calls if name == "_sweep_diff"]
-    assert sorted(a[:2] for a in diffs) == [(2 * n, n) for n in range(1, 61)]
+    # each shape is read at 2n alone, so every sweep is exact-target
+    assert sorted(diffs) == [(2 * n, n, 1, None, False) for n in range(1, 61)]
 
     # an ascending library loop still regrows with headroom: no more sweeps,
     # and none deeper, than 16, 24, ..., 56, 64
@@ -299,6 +300,41 @@ def test_sweep_budget(record_sweeps):
     [en.count_a(2, n) for n in range(1, 61)]
     bounds = [args[0] for _, args in calls]
     assert len(bounds) <= 7 and max(bounds) <= 64
+
+
+def test_fixed_difference_sweep_budget(record_sweeps):
+    # A fixed-difference shape is swept exactly at the first n it is read
+    # at, and as a range (a sixth argument, True) from its second n on.
+    def diff_sweeps(run, *args, **kwargs):
+        calls = record_sweeps(tally=False)
+        run(*args, **kwargs)
+        return [args for name, args in calls if name == "_sweep_diff"]
+
+    # a row read from its largest n down: two sweeps, not one per n
+    row = diff_sweeps(cli.main, ["seq", "p_diff", "--t", "20", "--from", "1", "--to", "66"])
+    assert row == [(66, 20, 1, None, False), (65, 20, 1, None, False, True)]
+    assert sorted(diff_sweeps(verify, "thm_and")) == sorted(
+        [(59, l, 1, None, False) for l in range(2, 9)]
+        + [(58, l, 1, None, False, True) for l in range(2, 9)])
+
+    # entries that read each shape at one size never sweep a range
+    for identity_id, incl in (("prop2", False), ("prop3", False), ("over1", False),
+                              ("over_gen", False), ("reg_div", False), ("reg_div", True),
+                              ("reg_odd", False)):
+        diffs = diff_sweeps(verify, identity_id, include_nondivisible=incl)
+        assert diffs and all(len(a) == 5 for a in diffs), identity_id
+
+    # reg_nondiv reads the shape diff = n + l - (n mod l) at up to l - 1
+    # sizes: 33 shapes, 18 of them read at two or more (58 exact sweeps
+    # when every size was swept on its own)
+    diffs = diff_sweeps(verify, "reg_nondiv")
+    assert len({a[1:5] for a in diffs}) == 33
+    assert sorted(len(a) for a in diffs) == [5] * 33 + [6] * 18
+
+    # an ascending library loop regrows the range with headroom, to 16,
+    # 24, ..., 64, 72, after one exact sweep of n = 1
+    bounds = diff_sweeps(lambda: [en.count_p_fixed_diff(n, 20) for n in range(1, 67)])
+    assert [a[0] for a in bounds] == [1, 16, 24, 32, 40, 48, 56, 64, 72]
 
 
 def test_ubar_counts_sweep_without_the_generator(record_sweeps, monkeypatch, capsys):

@@ -29,3 +29,14 @@ def test_trace_hook_points_exist():
     for name in tc.SERIES_METHODS:
         assert callable(getattr(series_cls, name, None)), f"LaurentSeries.{name}"
     assert callable(getattr(layers["enumeration"]._HistCache, "get", None))
+
+
+def test_every_histogram_sweep_is_traced():
+    # enumeration.sweeps and tallied count only the kernels PRIVATE_HOOKS
+    # names, so a histogram sweep under another name would drop out of both
+    tc = _trace_child()
+    enumeration = importlib.import_module("qpartitions.enumeration")
+    sweeps = {name for name, obj in vars(enumeration).items()
+              if name.startswith("_sweep") and callable(obj)}
+    # _sweep_ubar returns per-n totals, not histograms, and is not traced
+    assert sweeps - {"_sweep_ubar"} <= set(tc.PRIVATE_HOOKS["enumeration"])
