@@ -13,13 +13,19 @@ is derived in closed form.  What keeps the per-partition cost down: a run
 of the least allowed value ends its partition, so a plain sweep tallies
 those runs (most of its partitions) in a loop without push tests, and a
 fixed-difference sweep steps the copies of a middle value in a bare
-``while`` loop, since most middle values fit only a few times.
-A sweep tallies only what its callers read.  A sweep without a
-difference covers every n up to a bound, which a caller reading a range
-sets by asking for its largest n first.  A fixed-difference sweep counts
-the partitions of the one n asked for, until its shape is read at a
-second size; from then on it covers every n up to a bound as well (see
-``_HistCache``).  ``count_p`` alone uses the pentagonal-number recurrence.
+``while`` loop, since most middle values fit only a few times; a (2d, d)
+family sweep walks each prefix of middle runs once and closes it into
+every d it fits.
+What a sweep tallies is set by its key and bound, not by the exact reads:
+a sweep without a difference covers every n up to a bound, which a caller
+reading a range sets by asking for its largest n first.  A
+fixed-difference sweep counts the partitions of the one n asked for, until
+its shape is read at a second size; from then on it covers every n up to
+a bound as well.  Reads of (2d, d), the paper's counts of partitions of 2d
+with difference d, share one family key per (lo, mod, over), swept
+like a plain key over every d up to a bound, including the rows a caller
+skips (``reg_div`` reads only d divisible by its modulus).  See
+``_HistCache``.  ``count_p`` alone uses the pentagonal-number recurrence.
 
 The u-bar counts are swept the same way.  An overpartition is a base
 partition plus a choice of overlined runs (at most one overline per value),
@@ -181,7 +187,7 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
     return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
 
 
-def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool,
+def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
                 every_n: bool = False):
     # Partitions whose largest minus smallest part is t.  For each largest
     # part a (floor = a - t) the DFS walks run-prefixes: the run of a, then
@@ -198,6 +204,68 @@ def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool,
     # walks the same prefixes as an exact sweep of nmax, but its closing
     # loops make it cost several of those (about 5x at (120, 60)), so it
     # pays only for a shape read at many sizes (see _HistCache).
+    #
+    # t None (every_n implied): the (2d, d) family, row 2d holding the
+    # partitions of 2d whose difference is d, for every d <= nmax // 2
+    # (odd rows stay empty).  With the floor f fixed, the largest part
+    # d + f occurs once, since two copies would sum past 2d, and the middle
+    # parts (values strictly between) sum to s = d - f(k + 1) for k >= 1
+    # floor parts: less than d + f, so they need no upper bound.  The DFS
+    # walks the middle run-prefixes alone, values above f and sums up to
+    # D - 2f, and each prefix closes into exactly one partition for every
+    # d = s + f(k + 1) <= D whose largest part mod does not divide; the
+    # slots d * R + k of these, in a flat table, are listed once per s.
+    # Every prefix is shared by all the d it closes into, which is why one
+    # family sweep to D costs less than the exact sweeps of each d <= D
+    # (on one CPU of a 2-core Xeon: d = 26 .. 60 as 35 exact sweeps took
+    # 0.76-0.99 s, every d <= 60 as one family sweep 0.34-0.39 s, each
+    # tallying about 5.5M partitions).
+    if t is None:
+        D = nmax // 2
+        R = D // lo + 1  # k <= D // lo - 1
+        F = [0] * ((D + 1) * R)
+        w0 = 4 if over else 1  # the largest and floor runs
+        stack = []
+        push = stack.append
+        pop = stack.pop
+        for f in range(lo, D // 2 + 1):
+            if mod and f % mod == 0:
+                continue
+            top = D - f - f
+            close = [[d * R + (d - s) // f - 1 for d in range(s + f + f, D + 1, f)
+                      if not (mod and (d + f) % mod == 0)] for s in range(top + 1)]
+            least = f + 2 if mod and (f + 1) % mod == 0 else f + 1
+            room = top - least  # a prefix summing to more takes no middle run
+            for i in close[0]:
+                F[i] += w0
+            if room >= 0:
+                push((top + 1, 0, w0))
+            while stack:
+                prev, used, w = pop()
+                if over:
+                    w += w
+                v = prev - 1
+                if v > top - used:
+                    v = top - used
+                while v > least:
+                    if mod and v % mod == 0:
+                        v -= 1
+                        continue
+                    for s in range(used + v, top + 1, v):
+                        for i in close[s]:
+                            F[i] += w
+                        if s <= room:
+                            push((v, s, w))
+                    v -= 1
+                # v == least: these runs end the middle, so they close
+                # without a push, like _sweep_plain's runs of lo
+                for s in range(used + least, top + 1, least):
+                    for i in close[s]:
+                        F[i] += w
+        H = [{} for _ in range(nmax + 1)]
+        for d in range(1, D + 1):
+            H[d + d] = {k: cnt for k, cnt in enumerate(F[d * R:d * R + R]) if cnt}
+        return H
     w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
     if every_n:
         T = [[0] * (n // lo + 1) for n in range(nmax + 1)]
@@ -280,9 +348,9 @@ def _sweep_diff(nmax: int, t: int, lo: int, mod: int | None, over: bool,
                     continue
                 extend = v - 1 > floor
                 # copies of v, r being what is left after each; a bare loop,
-                # because v mostly fits only a few times (remark7's 60
-                # sweeps: 2.22M prefix and value pairs, 6.25M copies) and
-                # building a range per pair cost more than stepping
+                # because v mostly fits only a few times (the exact sweeps of
+                # (2n, n) for n <= 60: 2.22M prefix and value pairs, 6.25M
+                # copies) and building a range per pair cost more than stepping
                 r = rem - v
                 while r >= floor:
                     if r % floor == 0:
@@ -340,8 +408,8 @@ def _sweep_ubar(nmax: int) -> list[int]:
 class _HistCache:
     """Memoised sweep results, keyed by the filter shape.
 
-    Every sweep tallies only what some caller reads; sweeps stay brute
-    force, visiting each counted partition once.
+    Sweeps stay brute force, visiting each counted partition once; a sweep
+    may tally sizes no caller reads, within the bound its key sets.
 
     - Plain keys sweep every size up to a bound at once.  The first miss
       sweeps to ``n`` (at least 16, below which a sweep costs nothing);
@@ -352,11 +420,21 @@ class _HistCache:
     - A fixed-difference shape ``(lo, mod, diff, over)`` picks its sweep by
       how it is read.  Its first miss is an exact-target sweep of that one
       ``n``, memoised per ``n``: most shapes are read at one size only
-      (``remark7`` reads ``diff = n`` at ``2n``), where a range sweep would
-      cost several times more.  A miss at a second, different ``n`` makes
-      the shape ranged: from then on it is swept like a plain key, every
-      size up to a bound, so a reader of a whole row (``seq``, ``thm_and``)
-      sweeps it twice, or a few times if it reads in ascending order.
+      (``reg_odd`` reads ``diff = n + 1`` at ``2n + 1``), where a range
+      sweep would cost several times more.  A miss at a second, different
+      ``n`` makes the shape ranged: from then on it is swept like a plain
+      key, every size up to a bound, so a reader of a whole row (``seq``,
+      ``thm_and``) sweeps it twice, or a few times if it reads in
+      ascending order.
+    - Reads at ``n = 2 diff`` that the shape's own entry does not cover go
+      to the (2d, d) family key ``("2n, n", lo, mod, over)`` instead, one
+      for every diff, swept over every size up to a bound (``_sweep_diff``
+      with ``t`` None) and grown like a plain key.  Every reader of these
+      counts reads a whole grid of d, largest first, so ``prop2``,
+      ``over1`` and each ``reg_div`` modulus make one family sweep, and
+      ``remark7`` after ``prop2`` regrows it once instead of sweeping each
+      n.  A lone read pays for the family to its size: at (120, 60) about
+      three times the exact-target sweep of that one n.
     - The u-bar key holds per-n totals (``_sweep_ubar``) and grows like a
       plain key.
     """
@@ -372,15 +450,20 @@ class _HistCache:
         if diff is None:
             return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
         shape = (lo, mod, diff, over)
-        exact = self._exact.get(shape)
-        if exact is None:
+        exact = self._exact.get(shape, {})
+        if n in exact:
+            return exact[n]
+        entry = self._ranged.get(shape)
+        if entry is not None and n <= entry[0]:
+            return entry[1][n]
+        if n == 2 * diff:  # one key for the (2n, n) reads of every diff
+            key = ("2n, n", lo, mod, over)
+            return self._swept(key, n, _sweep_diff, None, lo, mod, over, True)[n]
+        if not exact:
             hist = _sweep_diff(n, diff, lo, mod, over)[n]
             self._exact[shape] = {n: hist}
             return hist
-        hist = exact.get(n)
-        if hist is None:
-            hist = self._swept(shape, n, _sweep_diff, diff, lo, mod, over, True)[n]
-        return hist
+        return self._swept(shape, n, _sweep_diff, diff, lo, mod, over, True)[n]
 
     def ubar(self, n: int) -> int:
         """The u-bar total of n >= 0, from a key grown like a plain one."""

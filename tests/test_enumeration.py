@@ -312,6 +312,27 @@ def test_range_diff_tallies_match_generators(mod, over):
 
 @pytest.mark.parametrize("over", [False, True])
 @pytest.mark.parametrize("mod", [None, 2, 3])
+def test_family_diff_tallies_match_generators(mod, over):
+    # one (2d, d) family sweep (t None) holds row 2d for every d up to half
+    # its bound; the bound 25 is odd, and odd rows stay empty
+    n_top, want = _diff_oracle(mod, over)
+    hists = _sweep_diff(25, None, 1, mod, over, True)
+    assert hists == [want[n, n // 2] if n % 2 == 0 else {} for n in range(26)]
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 2, 3, 4, 5])
+@pytest.mark.parametrize("lo", [1, 2])
+def test_family_diff_matches_exact_target_at_every_d(lo, mod, over):
+    hists = _sweep_diff(80, None, lo, mod, over, True)
+    assert len(hists) == 81
+    for n in range(81):
+        want = _sweep_diff(n, n // 2, lo, mod, over)[n] if n % 2 == 0 else {}
+        assert hists[n] == want, n
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 2, 3])
 @pytest.mark.parametrize("lo", [1, 2, 3])
 def test_plain_sweep_tallies_match_generators(lo, mod, over):
     # one sweep's histogram at every n against the lexicographic generators;
@@ -350,6 +371,13 @@ def test_range_diff_tallies_match_recorded(pin):
     n = pin["args"][0]
     hists = _sweep_diff(*pin["args"], True)
     assert hists[n] == {c: cnt for c, cnt in pin["hist"]}
+
+
+def test_family_diff_row_matches_recorded():
+    # remark7's deepest row, from the one family sweep that reaches it
+    (pin,) = [e for e in PINS["diff"] if e["args"] == [120, 60, 1, None, False]]
+    hists = _sweep_diff(120, None, 1, None, False, True)
+    assert hists[120] == {c: cnt for c, cnt in pin["hist"]}
 
 
 @pytest.mark.parametrize("args", [(66, 20), (62, 15)], ids=str)

@@ -291,8 +291,19 @@ def test_sweep_budget(record_sweeps):
     calls = record_sweeps()
     assert verify("remark7").status == "refuted"
     diffs = [args for name, args in calls if name == "_sweep_diff"]
-    # each shape is read at 2n alone, so every sweep is exact-target
-    assert sorted(diffs) == [(2 * n, n, 1, None, False) for n in range(1, 61)]
+    # each shape is read at 2n alone, so all of them share the (2n, n)
+    # family key: one family sweep (t None) over every size, whose first
+    # read is n = 120
+    assert diffs == [(120, None, 1, None, False, True)]
+    # in catalog order prop2 has swept the family to 50 already, so remark7
+    # regrows it once
+    calls = record_sweeps(tally=False)
+    verify("prop2")
+    assert ("_sweep_diff", (50, None, 1, None, False, True)) in calls
+    del calls[:]
+    verify("remark7")
+    diffs = [args for name, args in calls if name == "_sweep_diff"]
+    assert diffs == [(120, None, 1, None, False, True)]
 
     # an ascending library loop still regrows with headroom: no more sweeps,
     # and none deeper, than 16, 24, ..., 56, 64
@@ -305,6 +316,8 @@ def test_sweep_budget(record_sweeps):
 def test_fixed_difference_sweep_budget(record_sweeps):
     # A fixed-difference shape is swept exactly at the first n it is read
     # at, and as a range (a sixth argument, True) from its second n on.
+    # The reads at n = 2 diff of every shape share one family key per
+    # (lo, mod, over) instead, unless the shape's own entry covers them.
     def diff_sweeps(run, *args, **kwargs):
         calls = record_sweeps(tally=False)
         run(*args, **kwargs)
@@ -313,16 +326,36 @@ def test_fixed_difference_sweep_budget(record_sweeps):
     # a row read from its largest n down: two sweeps, not one per n
     row = diff_sweeps(cli.main, ["seq", "p_diff", "--t", "20", "--from", "1", "--to", "66"])
     assert row == [(66, 20, 1, None, False), (65, 20, 1, None, False, True)]
+    # a row that starts at n = 2t reads that n from the (2n, n) family, and
+    # the rest of the row from the shape's own two sweeps
+    row = diff_sweeps(cli.main, ["seq", "p_diff", "--t", "20", "--from", "1", "--to", "40"])
+    assert row == [(40, None, 1, None, False, True), (39, 20, 1, None, False),
+                   (38, 20, 1, None, False, True)]
     assert sorted(diff_sweeps(verify, "thm_and")) == sorted(
         [(59, l, 1, None, False) for l in range(2, 9)]
         + [(58, l, 1, None, False, True) for l in range(2, 9)])
 
-    # entries that read each shape at one size never sweep a range
-    for identity_id, incl in (("prop2", False), ("prop3", False), ("over1", False),
-                              ("over_gen", False), ("reg_div", False), ("reg_div", True),
-                              ("reg_odd", False)):
+    # entries that read each shape at one size never sweep a shape's
+    # range: those reading (2n, n) make one family sweep (t None) per
+    # (lo, mod, over), to the largest size they read; reg_odd reads
+    # (2n + 1, n + 1), outside the family, one exact sweep per shape
+    def family(n, mod, over):
+        return [(2 * n, None, 1, mod, over, True)]
+
+    for identity_id, incl, want in (
+        ("prop2", False, family(25, None, False)),
+        ("prop3", False, family(25, None, False)),
+        ("over1", False, family(16, None, True)),
+        ("over_gen", False, family(14, None, True)),
+        # l | n only: the largest n read for l = 5 is 45
+        ("reg_div", False, [a for l in (2, 3, 4) for a in family(48, l, False)]
+                           + family(45, 5, False)),
+        ("reg_div", True, [a for l in (2, 3, 4, 5) for a in family(48, l, False)]),
+    ):
         diffs = diff_sweeps(verify, identity_id, include_nondivisible=incl)
-        assert diffs and all(len(a) == 5 for a in diffs), identity_id
+        assert sorted(diffs, key=str) == sorted(want, key=str), identity_id
+    diffs = diff_sweeps(verify, "reg_odd")
+    assert sorted(diffs) == [(2 * n + 1, n + 1, 1, 2, False) for n in range(1, 32, 2)]
 
     # reg_nondiv reads the shape diff = n + l - (n mod l) at up to l - 1
     # sizes: 33 shapes, 18 of them read at two or more (58 exact sweeps
