@@ -10,12 +10,17 @@ multiplicity of the smallest part, visiting each counted partition once.
 Each counted partition (for overpartitions, each base partition, weighted
 2^runs) gets its own increment, made when its last run is added; no count
 is derived in closed form.  What keeps the per-partition cost down: a run
-of the least allowed value ends its partition, so a plain sweep tallies
-those runs (most of its partitions) in a loop without push tests, and a
-fixed-difference sweep steps the copies of a middle value in a bare
-``while`` loop, since most middle values fit only a few times; a (2d, d)
-family sweep walks each prefix of middle runs once and closes it into
-every d it fits.
+of the least value (``lo``, or the floor of a fixed difference) ends its
+partition, and these closing runs are most of the partitions.  A sweep
+over every size keeps one flat table, slot n * R + c for the partitions of
+n whose smallest part occurs c times, and lists once, per prefix sum s,
+the slots that the closing runs of a prefix summing to s fill; each
+prefix is closed as it is made by one bare ``for i in close[s]`` loop,
+and is pushed only if a middle run still fits.  A (2d, d) family sweep
+walks each prefix of middle runs once and closes it the same way into
+every d it fits.  An exact-target sweep steps the copies of a middle
+value in a bare ``while`` loop, since most middle values fit only a few
+times.
 What a sweep tallies is set by its key and bound, not by the exact reads:
 a sweep without a difference covers every n up to a bound, which a caller
 reading a range sets by asking for its largest n first.  A
@@ -144,15 +149,36 @@ def count_p(n: int) -> int:
 # ----------------------------------------------------------------------
 
 
+def _closing_slots(s: int, f: int, R: int, size: int) -> list[int]:
+    # The flat slots (s + c f) * R + c, c = 1, 2, ..., in which a prefix
+    # summing to s closes with c parts f.  They step by f R + 1, and the
+    # first with s + c f past the table's largest n is past its size too.
+    return list(range(s * R + f * R + 1, size, f * R + 1))
+
+
 def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
-    # T[n][c] accumulates partitions of n whose smallest run is (v, c);
+    # F[n * R + c] accumulates partitions of n whose smallest run is (v, c);
     # every run-prefix in the DFS tree is itself a partition of its sum,
     # so each qualifying partition of each n <= nmax is visited once.
     # For overpartitions each value run may carry one overline: weight 2^runs.
-    # The flat per-n lists become histogram dicts once, at the end.
-    T = [[0] * (n // lo + 1) for n in range(nmax + 1)]
-    top = nmax - lo  # a prefix summing to more has no room for another run
+    # The flat table becomes one histogram dict per n once, at the end.
+    least = lo + 1 if mod and lo % mod == 0 else lo  # the least allowed value
+    second = least + 2 if mod and (least + 1) % mod == 0 else least + 1
+    R = nmax // lo + 1
+    size = (nmax + 1) * R
+    F = [0] * size
+    top = nmax - least  # a prefix summing to more has no room for another run
+    room = nmax - second  # nor, summing to more than this, for a middle run
+    # A run of least ends its partition: no smaller value may follow.  So
+    # every prefix is closed by each run of least that fits as soon as it
+    # is made, through close[its sum], and is pushed only if a middle value
+    # (above least) still fits; the closings are 5.67M of the 6.64M
+    # partitions up to 60.  Each partition still gets one increment.
+    close = [_closing_slots(s, least, R, size) for s in range(top + 1)]
     w0 = 2 if over else 1
+    if top >= 0:
+        for i in close[0]:
+            F[i] += w0
     stack = [(nmax + 1, 0, w0)]
     push = stack.append
     pop = stack.pop
@@ -162,29 +188,24 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
         if v > nmax - used:
             v = nmax - used
         w2 = w + w if over else w
-        while v > lo:
+        while v > least:
             if mod and v % mod == 0:
                 v -= 1
                 continue
-            c = 1
-            for u in range(used + v, nmax + 1, v):
-                T[u][c] += w
-                if u <= top:
+            step = v * R + 1
+            i = used * R + step
+            extend = v > second  # a middle value fits below v
+            for u in range(used + v, top + 1, v):
+                F[i] += w
+                i += step
+                for j in close[u]:
+                    F[j] += w2
+                if extend and u <= room:
                     push((v, u, w2))
-                c += 1
+            if i < size:  # one more copy fits, with no room for a run of least
+                F[i] += w
             v -= 1
-        # A run of lo, the least allowed value, ends its partition: no
-        # smaller value may follow, so these runs are tallied apart, after
-        # the larger values, without a push test.  Each such partition
-        # still gets one increment, from the one prefix it extends; they
-        # are 5.67M of the 6.64M partitions up to 60.  A lo that mod
-        # divides is excluded like any other value.
-        if v == lo and not (mod and lo % mod == 0):
-            c = 1
-            for u in range(used + lo, nmax + 1, lo):
-                T[u][c] += w
-                c += 1
-    return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
+    return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} for n in range(nmax + 1)]
 
 
 def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
@@ -200,10 +221,12 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
     # leaving rem closes with a floor run only when floor divides rem.
     #
     # every_n: tally the partitions of every n <= nmax; each prefix closes
-    # with every floor run that fits, one increment per partition.  It
-    # walks the same prefixes as an exact sweep of nmax, but its closing
-    # loops make it cost several of those (about 5x at (120, 60)), so it
-    # pays only for a shape read at many sizes (see _HistCache).
+    # with every floor run that fits, one increment per partition, through
+    # the closing-slot list of its sum, built on the first prefix with that
+    # sum (small shapes reach few sums).  It walks the same prefixes as an
+    # exact sweep of nmax, but its closings make it cost several of those
+    # (about 3x at (120, 60)), so it pays only for a shape read at many
+    # sizes (see _HistCache).
     #
     # t None (every_n implied): the (2d, d) family, row 2d holding the
     # partitions of 2d whose difference is d, for every d <= nmax // 2
@@ -268,29 +291,31 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
         return H
     w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
     if every_n:
-        T = [[0] * (n // lo + 1) for n in range(nmax + 1)]
+        R = nmax // lo + 1
+        size = (nmax + 1) * R
+        F = [0] * size
         for a in range(lo + t, nmax + 1):
             floor = a - t
             if mod and (a % mod == 0 or floor % mod == 0):
                 continue
             if t == 0:
-                c = 1
-                for u in range(a, nmax + 1, a):
-                    T[u][c] += w_largest
-                    c += 1
+                for i in range(a * R + 1, size, a * R + 1):
+                    F[i] += w_largest
                 continue
             # a prefix summing to more than top has no room for a floor
-            # part, and to more than room none for a middle run as well
+            # part, and to more than room none for a middle run as well;
+            # every prefix closes, as it is made, with each floor run that
+            # fits, through close[its sum]
             top = nmax - floor
             room = top - floor - 1
             stack = []
             push = stack.append
             pop = stack.pop
+            close = [None] * (top + 1)
             for used in range(a, top + 1, a):
-                c = 1
-                for u in range(used + floor, nmax + 1, floor):
-                    T[u][c] += w_largest
-                    c += 1
+                cl = close[used] = _closing_slots(used, floor, R, size)
+                for i in cl:
+                    F[i] += w_largest
                 if used <= room:
                     push((a, used, w_largest))
             while stack:
@@ -306,14 +331,16 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
                         continue
                     extend = v - 1 > floor
                     for total in range(used + v, top + 1, v):
-                        c = 1
-                        for u in range(total + floor, nmax + 1, floor):
-                            T[u][c] += w
-                            c += 1
+                        cl = close[total]
+                        if cl is None:
+                            cl = close[total] = _closing_slots(total, floor, R, size)
+                        for i in cl:
+                            F[i] += w
                         if extend and total <= room:
                             push((v, total, w))
                     v -= 1
-        return [{c: cnt for c, cnt in enumerate(row) if cnt} for row in T]
+        return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt}
+                for n in range(nmax + 1)]
     H: list[dict[int, int]] = [{} for _ in range(nmax + 1)]
     tally = [0] * (nmax + 1)  # by multiplicity of the floor run
     for a in range(lo + t, nmax + 1):
@@ -348,9 +375,11 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
                     continue
                 extend = v - 1 > floor
                 # copies of v, r being what is left after each; a bare loop,
-                # because v mostly fits only a few times (the exact sweeps of
-                # (2n, n) for n <= 60: 2.22M prefix and value pairs, 6.25M
-                # copies) and building a range per pair cost more than stepping
+                # because v mostly fits only a few times (the 41 exact sweeps
+                # of `verify all`, for reg_odd, reg_nondiv and the first
+                # read of each thm_and shape: 41.7k prefix and value pairs,
+                # 163k copies) and building a range per pair cost more than
+                # stepping
                 r = rem - v
                 while r >= floor:
                     if r % floor == 0:

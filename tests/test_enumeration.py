@@ -268,21 +268,31 @@ def test_counters_handle_small_n():
     assert count_a(3, -1) == 0
 
 
+def _generated(nmax, lo, mod, over, t=None):
+    # every n <= nmax by the multiplicity of the smallest part, from the
+    # lexicographic generators
+    gen = gen_overpartitions if over else gen_partitions
+    f = PartitionFilter(min_part=lo, excluded_modulus=mod, exact_diff=t)
+    hists = []
+    for n in range(nmax + 1):
+        hist = Counter()
+        for parts in gen(n, f):
+            values = [p[0] for p in parts] if over else parts
+            if values:
+                hist[values.count(values[-1])] += 1
+        hists.append(hist)
+    return hists
+
+
 @lru_cache(maxsize=None)
 def _diff_oracle(mod, over):
     # (n_top, {(n, t): smallest-part multiplicity -> count}) from the
     # lexicographic generators, for 0 <= n <= n_top and t <= 12, so t = 0
     # and n < t are included; unrestricted overpartitions stop at 26 (there
     # are 2.3M up to 36).  Both fixed-difference kernels are checked on it.
-    gen = gen_overpartitions if over else gen_partitions
     n_top = 26 if over and mod is None else 36
-    want = {}
-    for n in range(n_top + 1):
-        for t in range(13):
-            hist = want[n, t] = Counter()
-            for parts in gen(n, PartitionFilter(exact_diff=t, excluded_modulus=mod)):
-                values = [p[0] for p in parts] if over else parts
-                hist[values.count(values[-1])] += 1
+    want = {(n, t): hist for t in range(13)
+            for n, hist in enumerate(_generated(n_top, 1, mod, over, t))}
     return n_top, want
 
 
@@ -337,16 +347,35 @@ def test_family_diff_matches_exact_target_at_every_d(lo, mod, over):
 def test_plain_sweep_tallies_match_generators(lo, mod, over):
     # one sweep's histogram at every n against the lexicographic generators;
     # unrestricted overpartitions stop at 18, the rest at 30
-    gen = gen_overpartitions if over else gen_partitions
     n_top = 18 if over and mod is None and lo == 1 else 30
     hists = _sweep_plain(n_top, lo, mod, over)
     assert len(hists) == n_top + 1
-    for n in range(1, n_top + 1):
-        want = Counter()
-        for parts in gen(n, PartitionFilter(min_part=lo, excluded_modulus=mod)):
-            values = [p[0] for p in parts] if over else parts
-            want[values.count(values[-1])] += 1
+    for n, want in enumerate(_generated(n_top, lo, mod, over)):
         assert hists[n] == want, n
+
+
+# (nmax, lo, mod): lo above nmax; nmax 0, 1 and lo; lo a multiple of mod,
+# so that the least allowed value is lo + 1; and wider shapes with lo > 1
+EDGE_SHAPES = [(3, 5, None), (4, 6, 3), (0, 1, None), (1, 1, None), (0, 3, 2),
+               (1, 2, None), (3, 3, None), (4, 4, 2), (6, 6, 3), (20, 4, 2),
+               (20, 6, 3), (24, 2, 2), (18, 2, None), (20, 3, 4)]
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("shape", EDGE_SHAPES, ids=str)
+def test_plain_sweep_edge_shapes_match_generators(shape, over):
+    nmax, lo, mod = shape
+    assert _sweep_plain(nmax, lo, mod, over) == _generated(nmax, lo, mod, over)
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("shape", EDGE_SHAPES, ids=str)
+def test_range_diff_edge_shapes_match_generators(shape, over):
+    # t = 0, middle differences, and t at and above nmax (every row empty)
+    nmax, lo, mod = shape
+    for t in sorted({0, 1, 2, 5, nmax, nmax + 3}):
+        got = _sweep_diff(nmax, t, lo, mod, over, True)
+        assert got == _generated(nmax, lo, mod, over, t), t
 
 
 # Histograms at catalog scale, recorded from the sweep kernels before their
@@ -363,8 +392,8 @@ def test_exact_target_diff_tallies_match_recorded(pin):
     assert not any(hists[:n])
 
 
-# (120, 60) is left out: a range sweep there costs about 1 s, and no
-# caller reads that shape at a second size
+# (120, 60) is left out: a range sweep there costs about 0.4 s on one CPU,
+# and no caller reads that shape at a second size
 @pytest.mark.parametrize("pin", [e for e in PINS["diff"] if e["args"][:2] != [120, 60]],
                          ids=lambda e: str(e["args"]))
 def test_range_diff_tallies_match_recorded(pin):

@@ -404,12 +404,35 @@ def _witnesses(key, m, order):
     return poch_infinite(Monomial(1, lo), 1, order).inverse(order) if m == 1 else None
 
 
+def _smallest_run_hists(depth, lo, mod, over):
+    """For each n <= depth, {c: the partitions of n whose smallest part s
+    occurs exactly c times}, as the sum over allowed s of weight times
+    p_{>s}(n - c s), from a coin-change table of the partitions into allowed
+    parts above s (each run weighted 2 for overpartitions)."""
+    w = 2 if over else 1
+    above = [1] + [0] * depth  # above s = depth: only the empty partition
+    hists = [{} for _ in range(depth + 1)]
+    for s in range(depth, lo - 1, -1):
+        if mod and s % mod == 0:
+            continue
+        for c in range(1, depth // s + 1):
+            for n in range(c * s, depth + 1):
+                if above[n - c * s]:
+                    hists[n][c] = hists[n].get(c, 0) + w * above[n - c * s]
+        above = [above[N] + w * sum(above[N - c * s] for c in range(1, N // s + 1))
+                 for N in range(depth + 1)]
+    return hists
+
+
 def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
     # The (key, depth) pairs and the >= m tallies the default catalog reads,
     # from a run with the sweeps stubbed out; each is then swept for real
     # (the kernels imported above, not the stubs) and checked against a
     # closed form, so that a kernel fault shared by both sides of an
-    # identity (over_a2, reg_a2) still shows.
+    # identity (over_a2, reg_a2) still shows.  Each plain key's histogram
+    # is also checked whole, at every multiplicity, against a coin-change
+    # count, so that counts moved between multiplicities no read
+    # separates show too.
     reads = {}
     last = []
     get = en._HistCache.get
@@ -439,6 +462,7 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
             hists = [{1: t} for t in _sweep_ubar(depth)]
         else:
             hists = _sweep_plain(depth, *key)
+            assert hists == _smallest_run_hists(depth, *key), (key, depth)
         for m in sorted(reads[key] | {1}):
             witness = _witnesses(key, m, depth + 1)
             assert witness is not None, (key, m)
