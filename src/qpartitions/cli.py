@@ -86,10 +86,10 @@ def _cmd_seq(args) -> int:
     from . import enumeration as en
 
     try:
-        # largest n first, so an enumeration counter sweeps once, or twice
-        # with a fixed difference (three times when --to is twice the
-        # difference, whose read goes to the (2n, n) family key; see
-        # enumeration._HistCache); printed in ascending order
+        # largest n first, so an enumeration counter sweeps once (twice
+        # with a fixed difference when --to is twice the difference, whose
+        # read goes to the (2n, n) family key; see enumeration._HistCache);
+        # printed in ascending order
         rows = [(n, str(counter(en, params, n))) for n in range(args.to, args.frm - 1, -1)]
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -11,26 +11,22 @@ Each counted partition (for overpartitions, each base partition, weighted
 2^runs) gets its own increment, made when its last run is added; no count
 is derived in closed form.  What keeps the per-partition cost down: a run
 of the least value (``lo``, or the floor of a fixed difference) ends its
-partition, and these closing runs are most of the partitions.  A sweep
-over every size keeps one flat table, slot n * R + c for the partitions of
-n whose smallest part occurs c times, and lists once, per prefix sum s,
+partition, and these closing runs are most of the partitions.  Each sweep
+keeps one flat table, slot n * R + c for the partitions of n whose
+smallest part occurs c times, and lists once, per prefix sum s,
 the slots that the closing runs of a prefix summing to s fill; each
 prefix is closed as it is made by one bare ``for i in close[s]`` loop,
 and is pushed only if a middle run still fits.  A (2d, d) family sweep
 walks each prefix of middle runs once and closes it the same way into
-every d it fits.  An exact-target sweep steps the copies of a middle
-value in a bare ``while`` loop, since most middle values fit only a few
-times.
+every d it fits.
 What a sweep tallies is set by its key and bound, not by the exact reads:
-a sweep without a difference covers every n up to a bound, which a caller
-reading a range sets by asking for its largest n first.  A
-fixed-difference sweep counts the partitions of the one n asked for, until
-its shape is read at a second size; from then on it covers every n up to
-a bound as well.  Reads of (2d, d), the paper's counts of partitions of 2d
-with difference d, share one family key per (lo, mod, over), swept
-like a plain key over every d up to a bound, including the rows a caller
-skips (``reg_div`` reads only d divisible by its modulus).  See
-``_HistCache``.  ``count_p`` alone uses the pentagonal-number recurrence.
+every sweep covers each n up to a bound, which a caller reading a range
+sets by asking for its largest n first.  A fixed-difference shape is a key
+of its own; reads of (2d, d), the paper's counts of partitions of 2d with
+difference d, share one family key per (lo, mod, over) instead, swept over
+every d up to a bound, including the rows a caller skips (``reg_div``
+reads only d divisible by its modulus).  See ``_HistCache``.  ``count_p``
+alone uses the pentagonal-number recurrence.
 
 The u-bar counts are swept the same way.  An overpartition is a base
 partition plus a choice of overlined runs (at most one overline per value),
@@ -208,41 +204,31 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
     return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} for n in range(nmax + 1)]
 
 
-def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
-                every_n: bool = False):
-    # Partitions whose largest minus smallest part is t.  For each largest
-    # part a (floor = a - t) the DFS walks run-prefixes: the run of a, then
-    # middle runs strictly between floor and a, and no prefix leaving less
-    # than one floor part is ever made.  Overpartitions weigh each partition
-    # by 2^runs.
+def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
+    # Partitions whose largest minus smallest part is t, for every n <= nmax.
+    # For each largest part a (floor = a - t) the DFS walks run-prefixes: the
+    # run of a, then middle runs strictly between floor and a, and no prefix
+    # leaving less than one floor part is ever made.  Each prefix closes, as
+    # it is made, with every floor run that fits, one increment per
+    # partition, through the closing-slot list of its sum, built on the
+    # first prefix with that sum (small shapes reach few sums).
+    # Overpartitions weigh each partition by 2^runs.
     #
-    # Exact target (the default): tally only the partitions of nmax itself;
-    # index nmax of the result holds them, the rest stay empty.  A prefix
-    # leaving rem closes with a floor run only when floor divides rem.
-    #
-    # every_n: tally the partitions of every n <= nmax; each prefix closes
-    # with every floor run that fits, one increment per partition, through
-    # the closing-slot list of its sum, built on the first prefix with that
-    # sum (small shapes reach few sums).  It walks the same prefixes as an
-    # exact sweep of nmax, but its closings make it cost several of those
-    # (about 3x at (120, 60)), so it pays only for a shape read at many
-    # sizes (see _HistCache).
-    #
-    # t None (every_n implied): the (2d, d) family, row 2d holding the
-    # partitions of 2d whose difference is d, for every d <= nmax // 2
-    # (odd rows stay empty).  With the floor f fixed, the largest part
-    # d + f occurs once, since two copies would sum past 2d, and the middle
-    # parts (values strictly between) sum to s = d - f(k + 1) for k >= 1
-    # floor parts: less than d + f, so they need no upper bound.  The DFS
-    # walks the middle run-prefixes alone, values above f and sums up to
-    # D - 2f, and each prefix closes into exactly one partition for every
-    # d = s + f(k + 1) <= D whose largest part mod does not divide; the
-    # slots d * R + k of these, in a flat table, are listed once per s.
-    # Every prefix is shared by all the d it closes into, which is why one
-    # family sweep to D costs less than the exact sweeps of each d <= D
-    # (on one CPU of a 2-core Xeon: d = 26 .. 60 as 35 exact sweeps took
-    # 0.76-0.99 s, every d <= 60 as one family sweep 0.34-0.39 s, each
-    # tallying about 5.5M partitions).
+    # t None: the (2d, d) family, row 2d holding the partitions of 2d whose
+    # difference is d, for every d <= nmax // 2 (odd rows stay empty).  With
+    # the floor f fixed, the largest part d + f occurs once, since two copies
+    # would sum past 2d, and the middle parts (values strictly between) sum
+    # to s = d - f(k + 1) for k >= 1 floor parts: less than d + f, so they
+    # need no upper bound.  The DFS walks the middle run-prefixes alone,
+    # values above f and sums up to D - 2f, and each prefix closes into
+    # exactly one partition for every d = s + f(k + 1) <= D whose largest
+    # part mod does not divide; the slots d * R + k of these, in a flat
+    # table, are listed once per s.  Every prefix is shared by all the d it
+    # closes into, which is why one family sweep to D costs far less than a
+    # sweep of each shape (2d, d), which also tallies every n below 2d (on
+    # one CPU of a 2-core Xeon: every d <= 60 as one family sweep took
+    # 0.51-0.58 s for 5.5M tallies, d = 26 .. 60 as 35 sweeps of their
+    # shapes 3.7-4.2 s for 35.9M).
     if t is None:
         D = nmax // 2
         R = D // lo + 1  # k <= D // lo - 1
@@ -290,106 +276,53 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
             H[d + d] = {k: cnt for k, cnt in enumerate(F[d * R:d * R + R]) if cnt}
         return H
     w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
-    if every_n:
-        R = nmax // lo + 1
-        size = (nmax + 1) * R
-        F = [0] * size
-        for a in range(lo + t, nmax + 1):
-            floor = a - t
-            if mod and (a % mod == 0 or floor % mod == 0):
-                continue
-            if t == 0:
-                for i in range(a * R + 1, size, a * R + 1):
-                    F[i] += w_largest
-                continue
-            # a prefix summing to more than top has no room for a floor
-            # part, and to more than room none for a middle run as well;
-            # every prefix closes, as it is made, with each floor run that
-            # fits, through close[its sum]
-            top = nmax - floor
-            room = top - floor - 1
-            stack = []
-            push = stack.append
-            pop = stack.pop
-            close = [None] * (top + 1)
-            for used in range(a, top + 1, a):
-                cl = close[used] = _closing_slots(used, floor, R, size)
-                for i in cl:
-                    F[i] += w_largest
-                if used <= room:
-                    push((a, used, w_largest))
-            while stack:
-                prev, used, w = pop()
-                if over:
-                    w += w
-                v = prev - 1
-                if v > top - used:
-                    v = top - used
-                while v > floor:
-                    if mod and v % mod == 0:
-                        v -= 1
-                        continue
-                    extend = v - 1 > floor
-                    for total in range(used + v, top + 1, v):
-                        cl = close[total]
-                        if cl is None:
-                            cl = close[total] = _closing_slots(total, floor, R, size)
-                        for i in cl:
-                            F[i] += w
-                        if extend and total <= room:
-                            push((v, total, w))
-                    v -= 1
-        return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt}
-                for n in range(nmax + 1)]
-    H: list[dict[int, int]] = [{} for _ in range(nmax + 1)]
-    tally = [0] * (nmax + 1)  # by multiplicity of the floor run
+    R = nmax // lo + 1
+    size = (nmax + 1) * R
+    F = [0] * size
     for a in range(lo + t, nmax + 1):
         floor = a - t
         if mod and (a % mod == 0 or floor % mod == 0):
             continue
         if t == 0:
-            if nmax % a == 0:
-                tally[nmax // a] = w_largest
+            for i in range(a * R + 1, size, a * R + 1):
+                F[i] += w_largest
             continue
-        # (prev, rem, weight) prefixes that can still take a middle run
-        # and a floor part, i.e. rem > 2 floor
+        # a prefix summing to more than top has no room for a floor part,
+        # and to more than room none for a middle run as well
+        top = nmax - floor
+        room = top - floor - 1
         stack = []
         push = stack.append
         pop = stack.pop
-        twice = floor + floor
-        for rem in range(nmax - a, floor - 1, -a):
-            if rem % floor == 0:
-                tally[rem // floor] += w_largest
-            if rem > twice:
-                push((a, rem, w_largest))
+        close = [None] * (top + 1)
+        for used in range(a, top + 1, a):
+            cl = close[used] = _closing_slots(used, floor, R, size)
+            for i in cl:
+                F[i] += w_largest
+            if used <= room:
+                push((a, used, w_largest))
         while stack:
-            prev, rem, w = pop()
+            prev, used, w = pop()
             if over:
                 w += w
             v = prev - 1
-            if v > rem - floor:
-                v = rem - floor
+            if v > top - used:
+                v = top - used
             while v > floor:
                 if mod and v % mod == 0:
                     v -= 1
                     continue
                 extend = v - 1 > floor
-                # copies of v, r being what is left after each; a bare loop,
-                # because v mostly fits only a few times (the 41 exact sweeps
-                # of `verify all`, for reg_odd, reg_nondiv and the first
-                # read of each thm_and shape: 41.7k prefix and value pairs,
-                # 163k copies) and building a range per pair cost more than
-                # stepping
-                r = rem - v
-                while r >= floor:
-                    if r % floor == 0:
-                        tally[r // floor] += w
-                    if extend and r > twice:
-                        push((v, r, w))
-                    r -= v
+                for total in range(used + v, top + 1, v):
+                    cl = close[total]
+                    if cl is None:
+                        cl = close[total] = _closing_slots(total, floor, R, size)
+                    for i in cl:
+                        F[i] += w
+                    if extend and total <= room:
+                        push((v, total, w))
                 v -= 1
-    H[nmax] = {c: cnt for c, cnt in enumerate(tally) if cnt}
-    return H
+    return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} for n in range(nmax + 1)]
 
 
 def _sweep_ubar(nmax: int) -> list[int]:
@@ -438,39 +371,33 @@ class _HistCache:
     """Memoised sweep results, keyed by the filter shape.
 
     Sweeps stay brute force, visiting each counted partition once; a sweep
-    may tally sizes no caller reads, within the bound its key sets.
+    may tally sizes no caller reads, within the bound its key sets.  Every
+    key is swept over every size up to a bound and grown by one rule.
 
-    - Plain keys sweep every size up to a bound at once.  The first miss
-      sweeps to ``n`` (at least 16, below which a sweep costs nothing);
-      a later miss regrows with modest headroom, since a loop that asks
-      for ascending n would otherwise sweep once per n.  Callers that read
-      a range therefore ask for its largest n first, so that one sweep
+    - The first miss sweeps to ``n`` (at least 16, below which a sweep costs
+      nothing); a later miss regrows with modest headroom, since a loop that
+      asks for ascending n would otherwise sweep once per n.  Callers that
+      read a range therefore ask for its largest n first, so that one sweep
       serves the whole range.
-    - A fixed-difference shape ``(lo, mod, diff, over)`` picks its sweep by
-      how it is read.  Its first miss is an exact-target sweep of that one
-      ``n``, memoised per ``n``: most shapes are read at one size only
-      (``reg_odd`` reads ``diff = n + 1`` at ``2n + 1``), where a range
-      sweep would cost several times more.  A miss at a second, different
-      ``n`` makes the shape ranged: from then on it is swept like a plain
-      key, every size up to a bound, so a reader of a whole row (``seq``,
-      ``thm_and``) sweeps it twice, or a few times if it reads in
-      ascending order.
+    - Plain keys are ``(lo, mod, over)``; a fixed-difference shape is
+      ``(lo, mod, diff, over)``, so a reader of a whole row (``seq``,
+      ``thm_and``) sweeps it once.
     - Reads at ``n = 2 diff`` that the shape's own entry does not cover go
       to the (2d, d) family key ``("2n, n", lo, mod, over)`` instead, one
-      for every diff, swept over every size up to a bound (``_sweep_diff``
-      with ``t`` None) and grown like a plain key.  Every reader of these
-      counts reads a whole grid of d, largest first, so ``prop2``,
+      for every diff (``_sweep_diff`` with ``t`` None).  Every reader of
+      these counts reads a whole grid of d, largest first, so ``prop2``,
       ``over1`` and each ``reg_div`` modulus make one family sweep, and
       ``remark7`` after ``prop2`` regrows it once instead of sweeping each
-      n.  A lone read pays for the family to its size: at (120, 60) about
-      three times the exact-target sweep of that one n.
-    - The u-bar key holds per-n totals (``_sweep_ubar``) and grows like a
-      plain key.
+      n.
+    - A lone read, a shape read at one size off the family, pays for the
+      sizes below it too: 3 to 5 times what counting that one n alone
+      costs, at (59, 6), (100, 30) and (120, 40).  In the catalog only
+      ``reg_odd`` and ``reg_nondiv`` make lone reads, on small shapes.
+    - The u-bar key holds per-n totals (``_sweep_ubar``).
     """
 
     def __init__(self) -> None:
-        self._ranged: dict[tuple, tuple[int, list]] = {}
-        self._exact: dict[tuple, dict[int, dict[int, int]]] = {}
+        self._entries: dict[tuple, tuple[int, list]] = {}
 
     def get(self, n: int, *, lo: int = 1, mod: int | None = None,
             diff: int | None = None, over: bool = False) -> dict[int, int]:
@@ -479,39 +406,29 @@ class _HistCache:
         if diff is None:
             return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
         shape = (lo, mod, diff, over)
-        exact = self._exact.get(shape, {})
-        if n in exact:
-            return exact[n]
-        entry = self._ranged.get(shape)
-        if entry is not None and n <= entry[0]:
-            return entry[1][n]
-        if n == 2 * diff:  # one key for the (2n, n) reads of every diff
-            key = ("2n, n", lo, mod, over)
-            return self._swept(key, n, _sweep_diff, None, lo, mod, over, True)[n]
-        if not exact:
-            hist = _sweep_diff(n, diff, lo, mod, over)[n]
-            self._exact[shape] = {n: hist}
-            return hist
-        return self._swept(shape, n, _sweep_diff, diff, lo, mod, over, True)[n]
+        entry = self._entries.get(shape)
+        if n == 2 * diff and (entry is None or n > entry[0]):
+            # one key for the (2n, n) reads of every diff
+            return self._swept(("2n, n", lo, mod, over), n, _sweep_diff, None, lo, mod, over)[n]
+        return self._swept(shape, n, _sweep_diff, diff, lo, mod, over)[n]
 
     def ubar(self, n: int) -> int:
         """The u-bar total of n >= 0, from a key grown like a plain one."""
         return self._swept(("ubar",), n, _sweep_ubar)[n]
 
     def _swept(self, key: tuple, n: int, sweep, *args) -> list:
-        entry = self._ranged.get(key)
+        entry = self._entries.get(key)
         if entry is None or entry[0] < n:
             # modest headroom: enumeration cost grows so fast in the bound
             # that doubling would dwarf the queries themselves
             old = entry[0] if entry else 0
             nmax = max(n, 16, old + max(8, old // 8))
             entry = (nmax, sweep(nmax, *args))
-            self._ranged[key] = entry
+            self._entries[key] = entry
         return entry[1]
 
     def clear(self) -> None:
-        self._ranged.clear()
-        self._exact.clear()
+        self._entries.clear()
 
 
 _hists = _HistCache()

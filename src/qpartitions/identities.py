@@ -121,11 +121,10 @@ class VerificationReport(Record):
 
 
 def _count_grid(points, lhs, rhs):
-    # Evaluated from the largest n down, so that each enumeration key is
-    # first asked for its largest n and swept once, or twice for a
-    # fixed-difference shape read at several n; the (2n, n) reads of every
-    # difference share one family key, swept once to the largest n (see
-    # _HistCache).
+    # Evaluated from the largest n down, so that each enumeration key,
+    # fixed-difference shapes included, is first asked for its largest n
+    # and swept once; the (2n, n) reads of every difference share one
+    # family key, swept once to the largest n (see _HistCache).
     # Counterexamples are returned in grid order.
     points = list(points)
     found = {}

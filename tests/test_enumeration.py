@@ -32,6 +32,8 @@ from qpartitions.enumeration import (
     is_ubar_counted,
 )
 
+from coin_change import family_hists, fixed_diff_hists
+
 P_KNOWN = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
            176, 231, 297, 385, 490, 627]
 
@@ -298,24 +300,13 @@ def _diff_oracle(mod, over):
 
 @pytest.mark.parametrize("over", [False, True])
 @pytest.mark.parametrize("mod", [None, 2, 3])
-def test_exact_target_diff_tallies_match_generators(mod, over):
-    # each exact-target sweep of n holds the partitions of n alone
-    n_top, want = _diff_oracle(mod, over)
-    for (n, t), hist in want.items():
-        hists = _sweep_diff(n, t, 1, mod, over)
-        assert hists[n] == hist, (n, t)
-        assert not any(hists[:n]), (n, t)
-
-
-@pytest.mark.parametrize("over", [False, True])
-@pytest.mark.parametrize("mod", [None, 2, 3])
 def test_range_diff_tallies_match_generators(mod, over):
-    # one range sweep per t holds every n up to its bound; the bound 8 is
-    # below t for t > 8, where every histogram is empty
+    # a range sweep of each t to each bound 0 .. n_top holds every n up to
+    # it; bounds below t leave every histogram empty
     n_top, want = _diff_oracle(mod, over)
     for t in range(13):
-        for nmax in (n_top, 8):
-            hists = _sweep_diff(nmax, t, 1, mod, over, True)
+        for nmax in range(n_top + 1):
+            hists = _sweep_diff(nmax, t, 1, mod, over)
             assert len(hists) == nmax + 1
             assert hists == [want[n, t] for n in range(nmax + 1)], (nmax, t)
 
@@ -326,7 +317,7 @@ def test_family_diff_tallies_match_generators(mod, over):
     # one (2d, d) family sweep (t None) holds row 2d for every d up to half
     # its bound; the bound 25 is odd, and odd rows stay empty
     n_top, want = _diff_oracle(mod, over)
-    hists = _sweep_diff(25, None, 1, mod, over, True)
+    hists = _sweep_diff(25, None, 1, mod, over)
     assert hists == [want[n, n // 2] if n % 2 == 0 else {} for n in range(26)]
 
 
@@ -334,11 +325,13 @@ def test_family_diff_tallies_match_generators(mod, over):
 @pytest.mark.parametrize("mod", [None, 2, 3, 4, 5])
 @pytest.mark.parametrize("lo", [1, 2])
 def test_family_diff_matches_exact_target_at_every_d(lo, mod, over):
-    hists = _sweep_diff(80, None, lo, mod, over, True)
+    # the count of each target 2d against the coin-change reference, which
+    # shares no code with the kernels
+    hists = _sweep_diff(80, None, lo, mod, over)
     assert len(hists) == 81
+    want = family_hists(80, lo, mod, over)
     for n in range(81):
-        want = _sweep_diff(n, n // 2, lo, mod, over)[n] if n % 2 == 0 else {}
-        assert hists[n] == want, n
+        assert hists[n] == want[n], n
 
 
 @pytest.mark.parametrize("over", [False, True])
@@ -374,7 +367,7 @@ def test_range_diff_edge_shapes_match_generators(shape, over):
     # t = 0, middle differences, and t at and above nmax (every row empty)
     nmax, lo, mod = shape
     for t in sorted({0, 1, 2, 5, nmax, nmax + 3}):
-        got = _sweep_diff(nmax, t, lo, mod, over, True)
+        got = _sweep_diff(nmax, t, lo, mod, over)
         assert got == _generated(nmax, lo, mod, over, t), t
 
 
@@ -384,38 +377,32 @@ def test_range_diff_edge_shapes_match_generators(shape, over):
 PINS = json.loads((Path(__file__).parent / "data" / "sweep_histograms.json").read_text())
 
 
-@pytest.mark.parametrize("pin", PINS["diff"], ids=lambda e: str(e["args"]))
-def test_exact_target_diff_tallies_match_recorded(pin):
-    n = pin["args"][0]
-    hists = _sweep_diff(*pin["args"])
-    assert hists[n] == {c: cnt for c, cnt in pin["hist"]}
-    assert not any(hists[:n])
-
-
-# (120, 60) is left out: a range sweep there costs about 0.4 s on one CPU,
-# and no caller reads that shape at a second size
+# (120, 60) is left out here: every read of it goes to the (2n, n) family,
+# whose row test_family_diff_row_matches_recorded checks
 @pytest.mark.parametrize("pin", [e for e in PINS["diff"] if e["args"][:2] != [120, 60]],
                          ids=lambda e: str(e["args"]))
 def test_range_diff_tallies_match_recorded(pin):
     n = pin["args"][0]
-    hists = _sweep_diff(*pin["args"], True)
+    hists = _sweep_diff(*pin["args"])
     assert hists[n] == {c: cnt for c, cnt in pin["hist"]}
 
 
 def test_family_diff_row_matches_recorded():
     # remark7's deepest row, from the one family sweep that reaches it
     (pin,) = [e for e in PINS["diff"] if e["args"] == [120, 60, 1, None, False]]
-    hists = _sweep_diff(120, None, 1, None, False, True)
+    hists = _sweep_diff(120, None, 1, None, False)
     assert hists[120] == {c: cnt for c, cnt in pin["hist"]}
 
 
 @pytest.mark.parametrize("args", [(66, 20), (62, 15)], ids=str)
 def test_range_diff_matches_exact_target_at_every_n(args):
-    # the row shapes `seq p_diff` and `seq a_diff` read, at catalog scale
+    # the row shapes `seq p_diff` and `seq a_diff` read, at catalog scale,
+    # against the coin-change count of each target n
     nmax, t = args
-    hists = _sweep_diff(nmax, t, 1, None, False, True)
+    hists = _sweep_diff(nmax, t, 1, None, False)
+    want = fixed_diff_hists(nmax, t, 1, None, False)
     for n in range(nmax + 1):
-        assert hists[n] == _sweep_diff(n, t, 1, None, False)[n], n
+        assert hists[n] == want[n], n
 
 
 def test_plain_sweep_tallies_match_recorded():

@@ -5,6 +5,7 @@ from qpartitions import closed_forms as cf
 from qpartitions import enumeration as en
 from qpartitions.enumeration import (
     PartitionFilter,
+    _sweep_diff,
     _sweep_plain,
     _sweep_ubar,
     gen_overpartitions,
@@ -23,6 +24,8 @@ from qpartitions.identities import (
 )
 from qpartitions.qobjects import Monomial, poch_infinite
 from qpartitions.series import LaurentSeries, WindowError
+
+from coin_change import family_hists, fixed_diff_hists, smallest_run_hists
 
 EXPECTED_IDS = [
     "prop1", "prop2", "prop3", "thmG1", "thm_a3", "thm_a4", "eq_am",
@@ -294,16 +297,16 @@ def test_sweep_budget(record_sweeps):
     # each shape is read at 2n alone, so all of them share the (2n, n)
     # family key: one family sweep (t None) over every size, whose first
     # read is n = 120
-    assert diffs == [(120, None, 1, None, False, True)]
+    assert diffs == [(120, None, 1, None, False)]
     # in catalog order prop2 has swept the family to 50 already, so remark7
     # regrows it once
     calls = record_sweeps(tally=False)
     verify("prop2")
-    assert ("_sweep_diff", (50, None, 1, None, False, True)) in calls
+    assert ("_sweep_diff", (50, None, 1, None, False)) in calls
     del calls[:]
     verify("remark7")
     diffs = [args for name, args in calls if name == "_sweep_diff"]
-    assert diffs == [(120, None, 1, None, False, True)]
+    assert diffs == [(120, None, 1, None, False)]
 
     # an ascending library loop still regrows with headroom: no more sweeps,
     # and none deeper, than 16, 24, ..., 56, 64
@@ -314,33 +317,28 @@ def test_sweep_budget(record_sweeps):
 
 
 def test_fixed_difference_sweep_budget(record_sweeps):
-    # A fixed-difference shape is swept exactly at the first n it is read
-    # at, and as a range (a sixth argument, True) from its second n on.
-    # The reads at n = 2 diff of every shape share one family key per
-    # (lo, mod, over) instead, unless the shape's own entry covers them.
+    # A fixed-difference shape is swept as a range, every size up to a
+    # bound, on its first miss, and regrown like a plain key.  The reads at
+    # n = 2 diff of every shape share one family key per (lo, mod, over)
+    # instead, unless the shape's own entry covers them.
     def diff_sweeps(run, *args, **kwargs):
         calls = record_sweeps(tally=False)
         run(*args, **kwargs)
         return [args for name, args in calls if name == "_sweep_diff"]
 
-    # a row read from its largest n down: two sweeps, not one per n
+    # a row read from its largest n down: one sweep, not one per n
     row = diff_sweeps(cli.main, ["seq", "p_diff", "--t", "20", "--from", "1", "--to", "66"])
-    assert row == [(66, 20, 1, None, False), (65, 20, 1, None, False, True)]
+    assert row == [(66, 20, 1, None, False)]
     # a row that starts at n = 2t reads that n from the (2n, n) family, and
-    # the rest of the row from the shape's own two sweeps
+    # the rest of the row from the shape's own sweep
     row = diff_sweeps(cli.main, ["seq", "p_diff", "--t", "20", "--from", "1", "--to", "40"])
-    assert row == [(40, None, 1, None, False, True), (39, 20, 1, None, False),
-                   (38, 20, 1, None, False, True)]
-    assert sorted(diff_sweeps(verify, "thm_and")) == sorted(
-        [(59, l, 1, None, False) for l in range(2, 9)]
-        + [(58, l, 1, None, False, True) for l in range(2, 9)])
+    assert row == [(40, None, 1, None, False), (39, 20, 1, None, False)]
+    assert sorted(diff_sweeps(verify, "thm_and")) == [(59, l, 1, None, False) for l in range(2, 9)]
 
-    # entries that read each shape at one size never sweep a shape's
-    # range: those reading (2n, n) make one family sweep (t None) per
-    # (lo, mod, over), to the largest size they read; reg_odd reads
-    # (2n + 1, n + 1), outside the family, one exact sweep per shape
+    # entries reading (2n, n) make one family sweep (t None) per
+    # (lo, mod, over), to the largest size they read, and no shape sweep
     def family(n, mod, over):
-        return [(2 * n, None, 1, mod, over, True)]
+        return [(2 * n, None, 1, mod, over)]
 
     for identity_id, incl, want in (
         ("prop2", False, family(25, None, False)),
@@ -354,20 +352,22 @@ def test_fixed_difference_sweep_budget(record_sweeps):
     ):
         diffs = diff_sweeps(verify, identity_id, include_nondivisible=incl)
         assert sorted(diffs, key=str) == sorted(want, key=str), identity_id
+    # reg_odd reads (2n + 1, n + 1), outside the family, each shape at one
+    # size: one sweep per shape, to at least 16 like every first miss
     diffs = diff_sweeps(verify, "reg_odd")
-    assert sorted(diffs) == [(2 * n + 1, n + 1, 1, 2, False) for n in range(1, 32, 2)]
+    assert sorted(diffs) == [(max(2 * n + 1, 16), n + 1, 1, 2, False) for n in range(1, 32, 2)]
 
     # reg_nondiv reads the shape diff = n + l - (n mod l) at up to l - 1
-    # sizes: 33 shapes, 18 of them read at two or more (58 exact sweeps
-    # when every size was swept on its own)
+    # sizes, largest first: 33 shapes, one sweep each (58 sweeps when every
+    # size was swept on its own)
     diffs = diff_sweeps(verify, "reg_nondiv")
-    assert len({a[1:5] for a in diffs}) == 33
-    assert sorted(len(a) for a in diffs) == [5] * 33 + [6] * 18
+    assert len(diffs) == len({a[1:] for a in diffs}) == 33
 
     # an ascending library loop regrows the range with headroom, to 16,
-    # 24, ..., 64, 72, after one exact sweep of n = 1
+    # 24, ..., 64, 72; n = 40 = 2t is inside the shape's entry by then
     bounds = diff_sweeps(lambda: [en.count_p_fixed_diff(n, 20) for n in range(1, 67)])
-    assert [a[0] for a in bounds] == [1, 16, 24, 32, 40, 48, 56, 64, 72]
+    assert [a[0] for a in bounds] == [16, 24, 32, 40, 48, 56, 64, 72]
+    assert all(a[1] == 20 for a in bounds)
 
 
 def test_ubar_counts_sweep_without_the_generator(record_sweeps, monkeypatch, capsys):
@@ -404,26 +404,6 @@ def _witnesses(key, m, order):
     return poch_infinite(Monomial(1, lo), 1, order).inverse(order) if m == 1 else None
 
 
-def _smallest_run_hists(depth, lo, mod, over):
-    """For each n <= depth, {c: the partitions of n whose smallest part s
-    occurs exactly c times}, as the sum over allowed s of weight times
-    p_{>s}(n - c s), from a coin-change table of the partitions into allowed
-    parts above s (each run weighted 2 for overpartitions)."""
-    w = 2 if over else 1
-    above = [1] + [0] * depth  # above s = depth: only the empty partition
-    hists = [{} for _ in range(depth + 1)]
-    for s in range(depth, lo - 1, -1):
-        if mod and s % mod == 0:
-            continue
-        for c in range(1, depth // s + 1):
-            for n in range(c * s, depth + 1):
-                if above[n - c * s]:
-                    hists[n][c] = hists[n].get(c, 0) + w * above[n - c * s]
-        above = [above[N] + w * sum(above[N - c * s] for c in range(1, N // s + 1))
-                 for N in range(depth + 1)]
-    return hists
-
-
 def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
     # The (key, depth) pairs and the >= m tallies the default catalog reads,
     # from a run with the sweeps stubbed out; each is then swept for real
@@ -432,7 +412,8 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
     # identity (over_a2, reg_a2) still shows.  Each plain key's histogram
     # is also checked whole, at every multiplicity, against a coin-change
     # count, so that counts moved between multiplicities no read
-    # separates show too.
+    # separates show too; so is each fixed-difference sweep, ranged shape
+    # or (2d, d) family, at every size it tallies.
     reads = {}
     last = []
     get = en._HistCache.get
@@ -462,7 +443,7 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
             hists = [{1: t} for t in _sweep_ubar(depth)]
         else:
             hists = _sweep_plain(depth, *key)
-            assert hists == _smallest_run_hists(depth, *key), (key, depth)
+            assert hists == smallest_run_hists(depth, *key), (key, depth)
         for m in sorted(reads[key] | {1}):
             witness = _witnesses(key, m, depth + 1)
             assert witness is not None, (key, m)
@@ -473,6 +454,13 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
             assert [sum(h.values()) for h in hists[1:]] == [
                 en.count_p(n) for n in range(1, depth + 1)
             ]
+
+    diffs = sorted({args for name, args in calls if name == "_sweep_diff"}, key=str)
+    assert {a[1] is None for a in diffs} == {False, True}  # shapes and families
+    for nmax, t, lo, mod, over in diffs:
+        want = (family_hists(nmax, lo, mod, over) if t is None
+                else fixed_diff_hists(nmax, t, lo, mod, over))
+        assert _sweep_diff(nmax, t, lo, mod, over) == want, (nmax, t, lo, mod, over)
 
 
 def test_each_countwise_side_reads_its_own_sources(record_sweeps, monkeypatch):
