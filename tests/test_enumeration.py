@@ -300,6 +300,24 @@ def _diff_oracle(mod, over):
 
 @pytest.mark.parametrize("over", [False, True])
 @pytest.mark.parametrize("mod", [None, 2, 3])
+def test_exact_target_diff_tallies_match_generators(mod, over):
+    # each exact-target read of (n, t), as the counters make it: first as a
+    # lone read on an empty cache, which sweeps its own shape or, at n = 2t,
+    # the (2d, d) family; then every n in ascending order, which regrows
+    # each key from the sizes it already holds
+    n_top, want = _diff_oracle(mod, over)
+    for (n, t), hist in want.items():
+        _hists.clear()
+        assert _hists.get(n, mod=mod, diff=t, over=over) == hist, (n, t)
+    _hists.clear()
+    for n in range(n_top + 1):
+        for t in range(13):
+            assert _hists.get(n, mod=mod, diff=t, over=over) == want[n, t], (n, t)
+    _hists.clear()
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 2, 3])
 def test_range_diff_tallies_match_generators(mod, over):
     # a range sweep of each t to each bound 0 .. n_top holds every n up to
     # it; bounds below t leave every histogram empty
