@@ -5,20 +5,20 @@ tuples of ``(value, overlined)`` pairs, values non-increasing with the
 overlined copy listed first among equal values.
 
 The counting functions enumerate run-encoded partitions (distinct value,
-multiplicity) with an explicit stack and tally histograms keyed by the
-multiplicity of the smallest part, visiting each counted partition once.
-Each counted partition (for overpartitions, each base partition, weighted
-2^runs) gets its own increment, made when its last run is added; no count
-is derived in closed form.  What keeps the per-partition cost down: a run
-of the least value (``lo``, or the floor of a fixed difference) ends its
-partition, and these closing runs are most of the partitions.  Each sweep
-keeps one flat table, slot n * R + c for the partitions of n whose
-smallest part occurs c times, and lists once, per prefix sum s,
-the slots that the closing runs of a prefix summing to s fill; each
-prefix is closed as it is made by one bare ``for i in close[s]`` loop,
-and is pushed only if a middle run still fits.  A (2d, d) family sweep
-walks each prefix of middle runs once and closes it the same way into
-every d it fits.
+multiplicity) and tally histograms keyed by the multiplicity of the
+smallest part.  Each counted partition (for overpartitions, each base
+partition, weighted 2^runs) gets its own increment; no count is derived in
+closed form.  Every sweep splits a partition at its floor f, the smallest
+part: for each allowed f one walk, ``_walk_prefixes``, makes every
+run-prefix of middle values above f once with an explicit stack, and
+closes it with the runs that end its partitions, k >= 1 copies of f and,
+for a fixed difference, the copies of the largest part.  Each sweep keeps
+one flat table, slot n * R + k for the partitions of n whose smallest part
+occurs k times, and lists once per floor, for each prefix sum s, the slots
+that the closing runs of a prefix summing to s fill; the walk closes each
+prefix as it makes it, by one bare ``for i in close[s]`` loop.  The plain,
+fixed-difference and (2d, d) family sweeps differ only in these lists; a
+family prefix closes into every d it fits.
 What a sweep tallies is set by its key and bound, not by the exact reads:
 every sweep covers each n up to a bound, which a caller reading a range
 sets by asking for its largest n first.  A fixed-difference shape is a key
@@ -28,12 +28,12 @@ every d up to a bound, including the rows a caller skips (``reg_div``
 reads only d divisible by its modulus).  See ``_HistCache``.  ``count_p``
 alone uses the pentagonal-number recurrence.
 
-The u-bar counts are swept the same way.  An overpartition is a base
-partition plus a choice of overlined runs (at most one overline per value),
-so weighting each base partition by how many choices satisfy the side
-conditions of ``is_ubar_counted`` counts every u-bar overpartition exactly
-once, and each counted base partition is still tallied once.  For runs
-v1 > ... > vr with multiplicities c1 ... cr:
+The u-bar counts are swept by a stack walk of their own.  An overpartition
+is a base partition plus a choice of overlined runs (at most one overline
+per value), so weighting each base partition by how many choices satisfy
+the side conditions of ``is_ubar_counted`` counts every u-bar
+overpartition exactly once, and each counted base partition is still
+tallied once.  For runs v1 > ... > vr with multiplicities c1 ... cr:
 
 - the smallest part must be overlined and alone, so only r >= 2 and
   cr = 1 count, with run r overlined; every other run has a value above
@@ -145,183 +145,119 @@ def count_p(n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _closing_slots(s: int, f: int, R: int, size: int) -> list[int]:
-    # The flat slots (s + c f) * R + c, c = 1, 2, ..., in which a prefix
-    # summing to s closes with c parts f.  They step by f R + 1, and the
-    # first with s + c f past the table's largest n is past its size too.
-    return list(range(s * R + f * R + 1, size, f * R + 1))
-
-
-def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
-    # F[n * R + c] accumulates partitions of n whose smallest run is (v, c);
-    # every run-prefix in the DFS tree is itself a partition of its sum,
-    # so each qualifying partition of each n <= nmax is visited once.
-    # For overpartitions each value run may carry one overline: weight 2^runs.
-    # The flat table becomes one histogram dict per n once, at the end.
-    least = lo + 1 if mod and lo % mod == 0 else lo  # the least allowed value
-    second = least + 2 if mod and (least + 1) % mod == 0 else least + 1
-    R = nmax // lo + 1
-    size = (nmax + 1) * R
-    F = [0] * size
-    top = nmax - least  # a prefix summing to more has no room for another run
-    room = nmax - second  # nor, summing to more than this, for a middle run
-    # A run of least ends its partition: no smaller value may follow.  So
-    # every prefix is closed by each run of least that fits as soon as it
-    # is made, through close[its sum], and is pushed only if a middle value
-    # (above least) still fits; the closings are 5.67M of the 6.64M
-    # partitions up to 60.  Each partition still gets one increment.
-    close = [_closing_slots(s, least, R, size) for s in range(top + 1)]
-    w0 = 2 if over else 1
-    if top >= 0:
-        for i in close[0]:
-            F[i] += w0
-    stack = [(nmax + 1, 0, w0)]
+def _walk_prefixes(F: list[int], close: list[list[int]], f: int, cap: int, top: int,
+                   mod: int | None, w: int, over: bool) -> None:
+    # Every run-prefix of middle values in (f, cap), none divisible by mod,
+    # whose sum s is at most top closes through close[s]: its weight is
+    # added at each slot listed there, one increment per partition.  The
+    # empty prefix weighs w, and under over each middle run doubles it.  A
+    # run of the least middle value ends its prefix, so it closes without a
+    # push, and a prefix is pushed only if such a run still fits.
+    for i in close[0]:
+        F[i] += w
+    least = f + 2 if mod and (f + 1) % mod == 0 else f + 1
+    room = top - least  # a prefix summing to more takes no middle run
+    if room < 0 or least >= cap:
+        return
+    stack = [(cap, 0, w)]
     push = stack.append
     pop = stack.pop
     while stack:
         prev, used, w = pop()
+        if over:
+            w += w
         v = prev - 1
-        if v > nmax - used:
-            v = nmax - used
-        w2 = w + w if over else w
+        if v > top - used:
+            v = top - used
         while v > least:
             if mod and v % mod == 0:
                 v -= 1
                 continue
-            step = v * R + 1
-            i = used * R + step
-            extend = v > second  # a middle value fits below v
-            for u in range(used + v, top + 1, v):
-                F[i] += w
-                i += step
-                for j in close[u]:
-                    F[j] += w2
-                if extend and u <= room:
-                    push((v, u, w2))
-            if i < size:  # one more copy fits, with no room for a run of least
-                F[i] += w
+            for s in range(used + v, top + 1, v):
+                for i in close[s]:
+                    F[i] += w
+                if s <= room:
+                    push((v, s, w))
             v -= 1
+        for s in range(used + least, top + 1, least):
+            for i in close[s]:
+                F[i] += w
+
+
+def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
+    # F[n * R + k] counts the partitions of n whose smallest part f occurs
+    # k times, for every n <= nmax.  For each allowed f the walk makes every
+    # prefix of larger runs once, and close[s] lists the slots
+    # (s + k f) * R + k, k >= 1, that the runs of f fitting after a prefix
+    # summing to s fill.  Overpartitions weigh each partition by 2^runs.
+    # The flat table becomes one histogram dict per n once, at the end.
+    R = nmax // lo + 1
+    size = (nmax + 1) * R
+    F = [0] * size
+    for f in range(lo, nmax + 1):
+        if mod and f % mod == 0:
+            continue
+        top = nmax - f
+        close = [list(range((s + f) * R + 1, size, f * R + 1)) for s in range(top + 1)]
+        _walk_prefixes(F, close, f, top + 1, top, mod, 2 if over else 1, over)
     return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} for n in range(nmax + 1)]
 
 
 def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
-    # Partitions whose largest minus smallest part is t, for every n <= nmax.
-    # For each largest part a (floor = a - t) the DFS walks run-prefixes: the
-    # run of a, then middle runs strictly between floor and a, and no prefix
-    # leaving less than one floor part is ever made.  Each prefix closes, as
-    # it is made, with every floor run that fits, one increment per
-    # partition, through the closing-slot list of its sum, built on the
-    # first prefix with that sum (small shapes reach few sums).
-    # Overpartitions weigh each partition by 2^runs.
+    # Partitions whose largest minus smallest part is t, for every n <= nmax,
+    # in the flat table of _sweep_plain.  For each floor f the largest part
+    # is a = f + t; the walk makes the prefixes of middle runs, values in
+    # (f, a), up to the sum nmax - a - f that leaves room for one a and one
+    # f, and close[s] lists the slots n * R + k, n = s + c a + k f, of every
+    # c, k >= 1 that fit.  Overpartitions weigh each partition by 2^runs.
     #
     # t None: the (2d, d) family, row 2d holding the partitions of 2d whose
     # difference is d, for every d <= nmax // 2 (odd rows stay empty).  With
     # the floor f fixed, the largest part d + f occurs once, since two copies
     # would sum past 2d, and the middle parts (values strictly between) sum
     # to s = d - f(k + 1) for k >= 1 floor parts: less than d + f, so they
-    # need no upper bound.  The DFS walks the middle run-prefixes alone,
-    # values above f and sums up to D - 2f, and each prefix closes into
-    # exactly one partition for every d = s + f(k + 1) <= D whose largest
-    # part mod does not divide; the slots d * R + k of these, in a flat
-    # table, are listed once per s.  Every prefix is shared by all the d it
+    # need no upper bound.  The walk makes the middle prefixes with sums up
+    # to D - 2f, and each closes into exactly one partition for every
+    # d = s + f(k + 1) <= D whose largest part mod does not divide; close[s]
+    # lists their slots d * R + k.  Every prefix is shared by all the d it
     # closes into, which is why one family sweep to D costs far less than a
     # sweep of each shape (2d, d), which also tallies every n below 2d (on
     # one CPU of a 2-core Xeon: every d <= 60 as one family sweep took
     # 0.51-0.58 s for 5.5M tallies, d = 26 .. 60 as 35 sweeps of their
     # shapes 3.7-4.2 s for 35.9M).
+    w = 1 if not over else 2 if t == 0 else 4  # the largest and floor runs
     if t is None:
         D = nmax // 2
         R = D // lo + 1  # k <= D // lo - 1
         F = [0] * ((D + 1) * R)
-        w0 = 4 if over else 1  # the largest and floor runs
-        stack = []
-        push = stack.append
-        pop = stack.pop
         for f in range(lo, D // 2 + 1):
             if mod and f % mod == 0:
                 continue
             top = D - f - f
             close = [[d * R + (d - s) // f - 1 for d in range(s + f + f, D + 1, f)
                       if not (mod and (d + f) % mod == 0)] for s in range(top + 1)]
-            least = f + 2 if mod and (f + 1) % mod == 0 else f + 1
-            room = top - least  # a prefix summing to more takes no middle run
-            for i in close[0]:
-                F[i] += w0
-            if room >= 0:
-                push((top + 1, 0, w0))
-            while stack:
-                prev, used, w = pop()
-                if over:
-                    w += w
-                v = prev - 1
-                if v > top - used:
-                    v = top - used
-                while v > least:
-                    if mod and v % mod == 0:
-                        v -= 1
-                        continue
-                    for s in range(used + v, top + 1, v):
-                        for i in close[s]:
-                            F[i] += w
-                        if s <= room:
-                            push((v, s, w))
-                    v -= 1
-                # v == least: these runs end the middle, so they close
-                # without a push, like _sweep_plain's runs of lo
-                for s in range(used + least, top + 1, least):
-                    for i in close[s]:
-                        F[i] += w
+            _walk_prefixes(F, close, f, top + 1, top, mod, w, over)
         H = [{} for _ in range(nmax + 1)]
         for d in range(1, D + 1):
             H[d + d] = {k: cnt for k, cnt in enumerate(F[d * R:d * R + R]) if cnt}
         return H
-    w_largest = 1 if not over else 2 if t == 0 else 4  # floor run included
     R = nmax // lo + 1
     size = (nmax + 1) * R
     F = [0] * size
-    for a in range(lo + t, nmax + 1):
-        floor = a - t
-        if mod and (a % mod == 0 or floor % mod == 0):
+    for f in range(lo, nmax + 1):
+        a = f + t
+        if mod and (a % mod == 0 or f % mod == 0):
             continue
-        if t == 0:
-            for i in range(a * R + 1, size, a * R + 1):
-                F[i] += w_largest
+        if t == 0:  # k copies of f alone: slot k f R + k
+            for i in range(f * R + 1, size, f * R + 1):
+                F[i] += w
             continue
-        # a prefix summing to more than top has no room for a floor part,
-        # and to more than room none for a middle run as well
-        top = nmax - floor
-        room = top - floor - 1
-        stack = []
-        push = stack.append
-        pop = stack.pop
-        close = [None] * (top + 1)
-        for used in range(a, top + 1, a):
-            cl = close[used] = _closing_slots(used, floor, R, size)
-            for i in cl:
-                F[i] += w_largest
-            if used <= room:
-                push((a, used, w_largest))
-        while stack:
-            prev, used, w = pop()
-            if over:
-                w += w
-            v = prev - 1
-            if v > top - used:
-                v = top - used
-            while v > floor:
-                if mod and v % mod == 0:
-                    v -= 1
-                    continue
-                extend = v - 1 > floor
-                for total in range(used + v, top + 1, v):
-                    cl = close[total]
-                    if cl is None:
-                        cl = close[total] = _closing_slots(total, floor, R, size)
-                    for i in cl:
-                        F[i] += w
-                    if extend and total <= room:
-                        push((v, total, w))
-                v -= 1
+        top = nmax - a - f
+        if top < 0:
+            break
+        close = [[i for u in range(s + a + f, nmax + 1, a)
+                  for i in range(u * R + 1, size, f * R + 1)] for s in range(top + 1)]
+        _walk_prefixes(F, close, f, a, top, mod, w, over)
     return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} for n in range(nmax + 1)]
 
 
@@ -390,8 +326,8 @@ class _HistCache:
       ``remark7`` after ``prop2`` regrows it once instead of sweeping each
       n.
     - A lone read, a shape read at one size off the family, pays for the
-      sizes below it too: 3 to 5 times what counting that one n alone
-      costs, at (59, 6), (100, 30) and (120, 40).  In the catalog only
+      sizes below it too: 2 to 4 times what counting that one n alone
+      cost, at (59, 6), (100, 30) and (120, 40).  In the catalog only
       ``reg_odd`` and ``reg_nondiv`` make lone reads, on small shapes.
     - The u-bar key holds per-n totals (``_sweep_ubar``).
     """

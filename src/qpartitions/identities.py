@@ -198,11 +198,17 @@ def _p_comb_sides(m, formula):
     return sides
 
 
+def _counted(count, w) -> LaurentSeries:
+    # count(n) for 1 <= n < w as a series on [0, w), 0 at q^0; counted
+    # largest n first, so that one sweep serves the whole range
+    counts = [count(n) for n in range(w - 1, 0, -1)]
+    return LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
+
+
 def _counted_a_cases(m_min, closed_form):
     def cases(w, incl):
         for m in range(m_min, 7):
-            counts = [en.count_a(m, n) for n in range(w - 1, 0, -1)]  # largest n first
-            counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
+            counted = _counted(lambda n: en.count_a(m, n), w)
             yield {"m": m}, counted, closed_form(m, w), range(1, w)
 
     return cases
@@ -211,8 +217,7 @@ def _counted_a_cases(m_min, closed_form):
 def _thm_and_cases(w, incl):
     for l in range(2, 9):
         for m in range(1, l):
-            counts = [en.count_a_diff(m, n, l) for n in range(w - 1, 0, -1)]  # largest n first
-            counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
+            counted = _counted(lambda n: en.count_a_diff(m, n, l), w)
             yield {"m": m, "l": l}, counted, cf.gf_a_m_diff(m, l, w), range(1, w)
 
 
@@ -311,10 +316,7 @@ def _reg_div_points(N, incl):
 
 
 def _ubar_gf_cases(w, incl):
-    # largest n first, so that the u-bar key is swept once
-    counts = [en.count_ubar(n) for n in range(w - 1, 0, -1)]
-    counted = LaurentSeries.from_coeffs([0] + counts[::-1], 0, w)
-    yield {}, counted, cf.gf_ubar(w), range(1, w)
+    yield {}, _counted(lambda n: en.count_ubar(n), w), cf.gf_ubar(w), range(1, w)
 
 
 def _areg(m, l, n):
@@ -497,9 +499,14 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
 # ----------------------------------------------------------------------
 
 
+def _is_part(v) -> bool:
+    # a bool is an int to isinstance, but never a part
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def _check_partition(parts) -> tuple[int, ...]:
     parts = tuple(parts)
-    if not all(isinstance(p, int) and p >= 1 for p in parts):
+    if not all(_is_part(p) for p in parts):
         raise ValueError("parts must be positive integers")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("parts must be non-increasing")
@@ -544,10 +551,10 @@ def bijection_prop3_inverse(parts, m: int) -> tuple[int, ...]:
 
 
 def _check_overpartition(parts) -> en.Overpartition:
-    parts = tuple((int(v), bool(ov)) for v, ov in parts)
+    parts = tuple((v, ov) for v, ov in parts)
+    if not all(_is_part(v) and isinstance(ov, bool) for v, ov in parts):
+        raise ValueError("values must be positive integers and overlines bools")
     values = [v for v, _ in parts]
-    if not all(v >= 1 for v in values):
-        raise ValueError("values must be positive")
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         raise ValueError("values must be non-increasing")
     for i, (v, ov) in enumerate(parts):

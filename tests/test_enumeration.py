@@ -389,9 +389,8 @@ def test_range_diff_edge_shapes_match_generators(shape, over):
         assert got == _generated(nmax, lo, mod, over, t), t
 
 
-# Histograms at catalog scale, recorded from the sweep kernels before their
-# leaf-run and single-copy fast paths existed; the generator cross-checks
-# above stop at n <= 30 and N <= 36.
+# Histograms at catalog scale, recorded from an earlier version of the sweep
+# kernels; the generator cross-checks above stop at n <= 30 and N <= 36.
 PINS = json.loads((Path(__file__).parent / "data" / "sweep_histograms.json").read_text())
 
 
@@ -412,13 +411,16 @@ def test_family_diff_row_matches_recorded():
     assert hists[120] == {c: cnt for c, cnt in pin["hist"]}
 
 
-@pytest.mark.parametrize("args", [(66, 20), (62, 15)], ids=str)
+# (nmax, t, lo, mod, over): the row shapes `seq p_diff` and `seq a_diff`
+# read, then shapes with overlines, a modulus or lo > 1 at the same scale
+@pytest.mark.parametrize("args", [(66, 20, 1, None, False), (62, 15, 1, None, False),
+                                  (60, 7, 2, None, True), (56, 9, 1, 3, True),
+                                  (60, 12, 2, 4, False), (50, 6, 1, None, True)], ids=str)
 def test_range_diff_matches_exact_target_at_every_n(args):
-    # the row shapes `seq p_diff` and `seq a_diff` read, at catalog scale,
     # against the coin-change count of each target n
-    nmax, t = args
-    hists = _sweep_diff(nmax, t, 1, None, False)
-    want = fixed_diff_hists(nmax, t, 1, None, False)
+    nmax = args[0]
+    hists = _sweep_diff(*args)
+    want = fixed_diff_hists(*args)
     for n in range(nmax + 1):
         assert hists[n] == want[n], n
 

@@ -565,6 +565,8 @@ def test_bijection_prop3_domain_errors():
         bijection_prop3_inverse((5, 1, 1), 2)  # odd total
     with pytest.raises(ValueError):
         bijection_prop3_inverse((4, 2, 2), 2)  # difference is not half the sum
+    with pytest.raises(ValueError):
+        bijection_prop3((True, True), 2)  # bools are not parts
 
 
 def test_bijection_prop3_round_trip_and_coverage():
@@ -600,6 +602,10 @@ def test_bijection_over1_domain_errors():
         bijection_over1(((1, False), (1, False)), 3)  # wrong total
     with pytest.raises(ValueError):
         bijection_over1(((1, False), (1, True)), 2)  # overline not first
+    with pytest.raises(ValueError):
+        bijection_over1([(2.7, False), (2.2, False)], 4)  # values are not ints
+    with pytest.raises(ValueError):
+        bijection_over1([("2", 0), ("2", "")], 4)  # nor the overlines bools
 
 
 def test_bijection_over1_exact_double_cover():
