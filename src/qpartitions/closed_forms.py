@@ -20,6 +20,7 @@ from functools import lru_cache
 from .enumeration import count_p, count_p_star, count_Q
 from .qobjects import (
     Monomial,
+    _qbin_window,
     euler_qinf,
     multi_poch_infinite,
     poch_finite_window,
@@ -198,8 +199,8 @@ def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
     lowest surviving exponent is l+m+1, the smallest witness m*1 + (1+l).
     So the result reads the product of the factors on [0, order + (m+1)(m+2)/2),
     and every factor is built on that window only: the Pochhammer products
-    drop their factors past it, and qbin(l, j) is stepped from qbin(l, j-1)
-    by its product form (1-q^(l-j+1))/(1-q^j).
+    drop their factors past it, and each qbin(l, j) is stepped by its
+    product form on the window its shifted term reads.
     """
     if l < 2:
         raise ValueError("requires difference l > 1")
@@ -215,12 +216,9 @@ def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
     lead = l + m + 1
     poch_l = poch_finite_window(_Q, 1, l, work)
     bracket = poch_l
-    gauss = LaurentSeries.one(work)  # qbin(l, j) on the window
     for j in range(m + 1):
-        if j:
-            gauss = gauss.mul_binomial(1, l - j + 1).div_binomial(1, j)
         s = j + j * (j - 1) // 2
-        term = gauss.truncate(work - s).shift(s)
+        term = _qbin_window(l, j, work - s).shift(s)
         bracket = bracket.add(term) if j % 2 else bracket.sub(term)
     num = poch_finite_window(_Q, 1, m, work).mul(poch_finite_window(_Q, 1, l - m - 1, work))
     den_inv = poch_l.mul(poch_l).inverse(work)

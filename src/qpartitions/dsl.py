@@ -1,11 +1,10 @@
 """A small expression language over the q-series primitives.
 
-Grammar (whitespace insignificant, decimal integers):
+Grammar (whitespace insignificant, decimal ASCII integers):
 
     expr   := term (("+"|"-") term)*
     term   := unary (("*"|"/") unary)*
-    unary  := "-" unary | factor
-    factor := atom ("^" int)?
+    unary  := "-" unary | atom ("^" int)?
     atom   := int | "q" | "(" expr ")"
             | "poch" "(" mono ";" posint ";" (int|"inf") ")"
             | "qbin" "(" int "," int ")"
@@ -13,13 +12,22 @@ Grammar (whitespace insignificant, decimal integers):
 
 Per the grammar, "^" binds tighter than unary minus ("-q^2" negates q^2;
 write "(-q)^2" for the other reading), and "+ - * /" are left-associative.
+Integers and names are ASCII: a non-ASCII letter or digit is an
+unexpected character, a syntax error.
+
+An expression evaluates at any order >= 1 on the window [min_exp, order).
+Finite ``poch`` and ``qbin`` leaves are built on the window that is read,
+never as their exact polynomials, and the factors of a product are
+evaluated on windows widened by the other factors' negative exponents.
 """
 
 from __future__ import annotations
 
-from .qobjects import Monomial, PochhammerError, poch_finite, poch_infinite, qbin
+import re
+
+from .qobjects import Monomial, _qbin_window, poch_finite_window, poch_infinite
 from .record import FrozenRecord
-from .series import LaurentSeries, SeriesError
+from .series import LaurentSeries
 
 
 class DslSyntaxError(ValueError):
@@ -67,7 +75,9 @@ class Neg(FrozenRecord):
         object.__setattr__(self, "operand", operand)
 
 
-# Add, Sub, Mul and Div differ only in their class, which == compares.
+# Add, Sub, Mul and Div differ only in their class, which == compares, and
+# in their symbol and precedence (1 sums, 2 products), which the parser and
+# the formatter both read from here.
 class _Binary(FrozenRecord):
     __match_args__ = ("left", "right")
 
@@ -77,19 +87,19 @@ class _Binary(FrozenRecord):
 
 
 class Add(_Binary):
-    pass
+    symbol, prec = "+", 1
 
 
 class Sub(_Binary):
-    pass
+    symbol, prec = "-", 1
 
 
 class Mul(_Binary):
-    pass
+    symbol, prec = "*", 2
 
 
 class Div(_Binary):
-    pass
+    symbol, prec = "/", 2
 
 
 class Pow(FrozenRecord):
@@ -124,51 +134,30 @@ class Qbin(FrozenRecord):
         object.__setattr__(self, "lower", lower)
 
 
+_BINARY = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
+
+
 # ----------------------------------------------------------------------
 # tokenizer
 # ----------------------------------------------------------------------
 
-_SYMBOLS = set("+-*/^();,")
+# An ASCII integer, an ASCII name, or any one character.
+_LEXEME = re.compile(r"([0-9]+)|([A-Za-z]+)|(.)", re.S)
 
 
 def _tokenize(text: str):
     tokens = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
+    for digits, name, ch in _LEXEME.findall(text):
+        if digits or name:
+            tokens.append(("INT" if digits else "NAME", digits or name, line, col))
+        elif ch == "\n":
+            line, col = line + 1, 0
+        elif ch in "+-*/^();,":
             tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+        elif not ch.isspace():
+            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+        col += len(digits or name or ch)
     tokens.append(("EOF", "", line, col))
     return tokens
 
@@ -182,19 +171,22 @@ class _Parser:
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
+        # called only on a token already checked, so never on EOF
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str, expected_desc: str):
+    def accept(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
-        if tok[0] != kind:
-            got = tok[1] or "end of input"
-            raise DslSyntaxError(
-                f"got {got!r}", tok[2], tok[3], expected=(expected_desc,)
-            )
-        return self.advance()
+        if tok[0] != kind or text not in (None, tok[1]):
+            return False
+        self.advance()
+        return True
+
+    def expect(self, kind: str, *expected: str, text: str | None = None):
+        tok = self.peek()
+        if not self.accept(kind, text):
+            self.fail(expected)
+        return tok
 
     def fail(self, expected):
         tok = self.peek()
@@ -204,51 +196,31 @@ class _Parser:
     # grammar rules ------------------------------------------------------
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "EOF":
+        node = self.expr(1)
+        if self.peek()[0] != "EOF":
             self.fail(("operator", "end of input"))
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self):
+    def expr(self, min_prec: int):
+        # precedence climbing; the right operand binds tighter, so every
+        # binary operator is left-associative
         node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        while (op := _BINARY.get(self.peek()[0])) and op.prec >= min_prec:
+            self.advance()
+            node = op(node, self.expr(op.prec + 1))
         return node
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
+        if self.accept("-"):
             return Neg(self.unary())
-        return self.factor()
-
-    def factor(self):
         node = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
+        if self.accept("^"):
             node = Pow(node, self.signed_int())
         return node
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        tok = self.expect("INT", "integer")
-        return sign * int(tok[1])
-
-    def plain_int(self) -> int:
-        return int(self.expect("INT", "integer")[1])
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.expect("INT", "integer")[1])
 
     def posint(self) -> int:
         tok = self.expect("INT", "positive integer")
@@ -260,74 +232,49 @@ class _Parser:
         return value
 
     def atom(self):
-        tok = self.peek()
-        if tok[0] == "INT":
+        kind, name = self.peek()[:2]
+        if kind == "INT":
             return IntLit(int(self.advance()[1]))
-        if tok[0] == "(":
-            self.advance()
-            node = self.expr()
+        if self.accept("("):
+            node = self.expr(1)
             self.expect(")", "')'")
             return node
-        if tok[0] == "NAME":
-            name = tok[1]
-            if name == "q":
-                self.advance()
-                return Q()
-            if name == "poch":
-                self.advance()
-                self.expect("(", "'('")
-                param = self.mono()
-                self.expect(";", "';'")
-                step = self.posint()
-                self.expect(";", "';'")
-                length = self.poch_length()
-                self.expect(")", "')'")
-                return Poch(param, step, length)
-            if name == "qbin":
-                self.advance()
-                self.expect("(", "'('")
-                upper = self.signed_int()
-                self.expect(",", "','")
-                lower = self.signed_int()
-                self.expect(")", "')'")
-                return Qbin(upper, lower)
-        self.fail(("integer", "'q'", "'('", "'poch'", "'qbin'"))
-
-    def poch_length(self) -> int | None:
-        tok = self.peek()
-        if tok[0] == "NAME" and tok[1] == "inf":
-            self.advance()
-            return None
-        if tok[0] == "INT":
-            return self.plain_int()
-        self.fail(("integer", "'inf'"))
+        if kind != "NAME" or name not in ("q", "poch", "qbin"):
+            self.fail(("integer", "'q'", "'('", "'poch'", "'qbin'"))
+        self.advance()
+        if name == "q":
+            return Q()
+        self.expect("(", "'('")
+        if name == "poch":
+            param = self.mono()
+            self.expect(";", "';'")
+            step = self.posint()
+            self.expect(";", "';'")
+            if self.accept("NAME", "inf"):
+                node = Poch(param, step, None)
+            else:
+                node = Poch(param, step, int(self.expect("INT", "integer", "'inf'")[1]))
+        else:
+            upper = self.signed_int()
+            self.expect(",", "','")
+            node = Qbin(upper, self.signed_int())
+        self.expect(")", "')'")
+        return node
 
     def mono(self) -> Monomial:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        tok = self.peek()
-        coeff = 1
-        if tok[0] == "INT":
-            coeff = self.plain_int()
-            if self.peek()[0] == "*":
-                self.advance()
-                return self._mono_q(sign * coeff)
-            return Monomial(sign * coeff, 0) if coeff else Monomial.zero()
-        if tok[0] == "NAME" and tok[1] == "q":
-            return self._mono_q(sign)
-        self.fail(("integer", "'q'"))
-
-    def _mono_q(self, coeff: int) -> Monomial:
-        tok = self.expect("NAME", "'q'")
-        if tok[1] != "q":
-            raise DslSyntaxError(f"got {tok[1]!r}", tok[2], tok[3], expected=("'q'",))
-        exp = 1
-        if self.peek()[0] == "^":
-            self.advance()
-            exp = self.posint()
-        return Monomial.zero() if coeff == 0 else Monomial(coeff, exp)
+        sign = -1 if self.accept("-") else 1
+        kind, name = self.peek()[:2]
+        if kind == "INT":
+            coeff = sign * int(self.advance()[1])
+            if not self.accept("*"):
+                return Monomial(coeff, 0) if coeff else Monomial.zero()
+        elif kind == "NAME" and name == "q":
+            coeff = sign
+        else:
+            self.fail(("integer", "'q'"))
+        self.expect("NAME", "'q'", text="q")
+        exp = self.posint() if self.accept("^") else 1
+        return Monomial(coeff, exp) if coeff else Monomial.zero()
 
 
 def parse(text: str):
@@ -341,88 +288,74 @@ def parse(text: str):
 
 
 def _ev(node, w: int) -> LaurentSeries:
-    # Contract: the returned window reaches at least w.  Children are
-    # re-evaluated at larger windows when negative exponents would
-    # otherwise erode the product window.
-    if isinstance(node, IntLit):
-        return LaurentSeries.monomial(node.value, 0, w)
-    if isinstance(node, Q):
-        return LaurentSeries.monomial(1, 1, w)
-    if isinstance(node, Neg):
-        return _ev(node.operand, w).neg()
-    if isinstance(node, (Add, Sub)):
-        a = _ev(node.left, w)
-        b = _ev(node.right, w)
-        return a.add(b) if isinstance(node, Add) else a.sub(b)
-    if isinstance(node, Mul):
-        a = _ev(node.left, w)
-        b = _ev(node.right, w)
-        if b.min_exp < 0:
-            a = _ev(node.left, w - b.min_exp)
-        if a.min_exp < 0:
-            b = _ev(node.right, w - a.min_exp)
-        return a.mul(b)
-    if isinstance(node, Div):
-        return _div(node, node.left, node.right, w)
-    if isinstance(node, Pow):
-        return _pow(node, w)
-    if isinstance(node, Poch):
-        try:
-            if node.length is None:
-                return poch_infinite(node.param, node.step, w)
-            return poch_finite(node.param, node.step, node.length).truncate(w)
-        except (PochhammerError, SeriesError) as exc:
-            raise DslEvalError(f"cannot evaluate {format_ast(node)}: {exc}") from exc
-    if isinstance(node, Qbin):
-        try:
-            return qbin(node.upper, node.lower).truncate(w)
-        except (SeriesError, ValueError) as exc:
-            raise DslEvalError(f"cannot evaluate {format_ast(node)}: {exc}") from exc
+    # Contract: the returned window reaches at least w.  q needs a window
+    # past its exponent, so it reaches at least 2.
+    match node:
+        case IntLit(value):
+            return LaurentSeries.monomial(value, 0, w)
+        case Q():
+            return LaurentSeries.monomial(1, 1, max(w, 2))
+        case Neg(operand):
+            return _ev(operand, w).neg()
+        case Add(left, right):
+            return _ev(left, w).add(_ev(right, w))
+        case Sub(left, right):
+            return _ev(left, w).sub(_ev(right, w))
+        case Mul(left, right):
+            a, b = _widened(lambda v: _ev(left, v), lambda v: _ev(right, v), w)
+            return a.mul(b)
+        case Div(left, right):
+            a, b = _widened(lambda v: _ev(left, v), lambda v: _invert(right, v), w)
+            return a.mul(b)
+        case Pow(_, 0):
+            return LaurentSeries.one(w)
+        case Pow(base, e):
+            factor = _ev if e > 0 else _invert
+            x, _ = _widened(lambda v: factor(base, v), None, w, abs(e) - 1)
+            return _power(x, abs(e))
+        case Poch(param, step, None):
+            return _guarded(node, poch_infinite, param, step, w)
+        case Poch(param, step, length):
+            return _guarded(node, poch_finite_window, param, step, length, w)
+        case Qbin(upper, lower):
+            return _guarded(node, _qbin_window, upper, lower, w)
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _invert(num_node, den_node, w_target: int):
-    # inverse of the denominator, windowed so a product with a series of
-    # min_exp >= 0 keeps w_target coefficients; num_node is only used for
-    # the error message when the denominator is not a unit.
-    den = _ev(den_node, max(w_target, 1))
+def _widened(left, right, w: int, copies: int = 1):
+    # The factors of left * right^copies, each a function from a window to
+    # a series, on windows that keep the product's window reaching w: each
+    # factor's window is widened by the other factors' negative min_exp.
+    # With right None the factors are copies + 1 copies of left (a power);
+    # a min_exp does not depend on the window, so the first one serves.
+    a = left(w)
+    b = a if right is None else right(w - min(a.min_exp, 0))
+    if copies * b.min_exp < 0:
+        a = left(w - copies * b.min_exp)
+    return a, b
+
+
+def _guarded(node, build, *args) -> LaurentSeries:
+    # a leaf's or an inverse's failure, blamed on its subexpression
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise DslEvalError(f"cannot evaluate {format_ast(node)}: {exc}") from exc
+
+
+def _invert(node, w: int) -> LaurentSeries:
+    # inverse of node's value, windowed so a product with a series of
+    # min_exp >= 0 keeps w coefficients
+    den = _ev(node, w)
     v = den.valuation()
     if v is None:
         raise DslEvalError(
-            f"cannot evaluate {format_ast(den_node)}: divisor vanishes on the "
-            "computed window"
+            f"cannot evaluate {format_ast(node)}: divisor vanishes on the computed window"
         )
-    order = max(w_target + v, 1)
+    order = max(w + v, 1)
     if v + order > den.trunc_order:
-        den = _ev(den_node, v + order)
-    try:
-        return den.inverse(order)
-    except SeriesError as exc:
-        raise DslEvalError(f"cannot evaluate {format_ast(den_node)}: {exc}") from exc
-
-
-def _div(node, left, right, w: int) -> LaurentSeries:
-    a = _ev(left, w)
-    inv = _invert(node, right, w - min(a.min_exp, 0))
-    if inv.min_exp < 0:
-        a = _ev(left, w - inv.min_exp)
-    return a.mul(inv)
-
-
-def _pow(node: Pow, w: int) -> LaurentSeries:
-    e = node.exponent
-    if e == 0:
-        return LaurentSeries.one(w)
-    if e > 0:
-        base = _ev(node.base, w)
-        if base.min_exp < 0:
-            base = _ev(node.base, w - (e - 1) * base.min_exp)
-        return _power(base, e)
-    inv = _invert(node, node.base, w)
-    k = -e
-    if k > 1 and inv.min_exp < 0:
-        inv = _invert(node, node.base, w - (k - 1) * inv.min_exp)
-    return _power(inv, k)
+        den = _ev(node, v + order)
+    return _guarded(node, den.inverse, order)
 
 
 def _power(base: LaurentSeries, e: int) -> LaurentSeries:
@@ -456,49 +389,30 @@ def eval_text(text: str, order: int) -> LaurentSeries:
 # canonical formatting
 # ----------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
 
 def _fmt(node, min_prec: int) -> str:
-    p = _prec(node)
-    if isinstance(node, IntLit):
-        body = str(node.value)
-    elif isinstance(node, Q):
-        body = "q"
-    elif isinstance(node, Neg):
-        body = "-" + _fmt(node.operand, _PREC_NEG)
-    elif isinstance(node, Add):
-        body = _fmt(node.left, _PREC_ADD) + "+" + _fmt(node.right, _PREC_ADD + 1)
-    elif isinstance(node, Sub):
-        body = _fmt(node.left, _PREC_ADD) + "-" + _fmt(node.right, _PREC_ADD + 1)
-    elif isinstance(node, Mul):
-        body = _fmt(node.left, _PREC_MUL) + "*" + _fmt(node.right, _PREC_MUL + 1)
-    elif isinstance(node, Div):
-        body = _fmt(node.left, _PREC_MUL) + "/" + _fmt(node.right, _PREC_MUL + 1)
-    elif isinstance(node, Pow):
-        body = _fmt(node.base, _PREC_ATOM) + "^" + str(node.exponent)
-    elif isinstance(node, Poch):
-        length = "inf" if node.length is None else str(node.length)
-        body = f"poch({node.param};{node.step};{length})"
-    elif isinstance(node, Qbin):
-        body = f"qbin({node.upper},{node.lower})"
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
-    if p < min_prec:
-        return f"({body})"
-    return body
+    # Parenthesize a node that binds looser than min_prec; precedences are
+    # the binary operators' 1 and 2, then 3 negation, 4 powers, 5 atoms.
+    prec = 5
+    match node:
+        case IntLit(value):
+            body = str(value)
+        case Q():
+            body = "q"
+        case Neg(operand):
+            body, prec = "-" + _fmt(operand, 3), 3
+        case _Binary(left, right):
+            prec = node.prec
+            body = _fmt(left, prec) + node.symbol + _fmt(right, prec + 1)
+        case Pow(base, exponent):
+            body, prec = f"{_fmt(base, 5)}^{exponent}", 4
+        case Poch(param, step, length):
+            body = f"poch({param};{step};{'inf' if length is None else length})"
+        case Qbin(upper, lower):
+            body = f"qbin({upper},{lower})"
+        case _:
+            raise TypeError(f"not an AST node: {node!r}")
+    return f"({body})" if prec < min_prec else body
 
 
 def format_ast(node) -> str:

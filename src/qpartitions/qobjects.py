@@ -5,7 +5,8 @@ generating function assembled downstream factors through these few
 primitives, all of which return :class:`~qpartitions.series.LaurentSeries`
 values with exact integer coefficients.  ``poch_finite`` and ``qbin`` (its
 zero for b out of range too) return exact polynomials, the other builders
-values truncated at their ``order``.  The Pochhammer products and
+values truncated at their ``order``; the private ``_qbin_window`` is
+``qbin`` on a window, for callers that read only that window.  The Pochhammer products and
 ``q_hyper_sum`` run on one coefficient list with the shared binomial list
 kernels of :mod:`qpartitions.series` and build a single series value at
 the end.
@@ -296,6 +297,22 @@ def qbin(a: int, b: int) -> LaurentSeries:
     q1 = Monomial.q()
     den = poch_finite(q1, 1, b).mul(poch_finite(q1, 1, a - b))
     return _poly_div_exact(poch_finite(q1, 1, a), den)
+
+
+def _qbin_window(a: int, b: int, order: int) -> LaurentSeries:
+    # qbin(a, b) on the window [0, order), stepped from 1 by the product
+    # form prod_{j=1}^{k} (1 - q^(a-j+1)) / (1 - q^j), k = min(b, a - b), on
+    # one coefficient list that stops past the degree k(a - k) or the window.
+    if a < 0:
+        raise ValueError("upper index must be non-negative")
+    if b < 0 or b > a:
+        return LaurentSeries.zero(order)
+    k = min(b, a - b)
+    out = [1] + [0] * (min(order, k * (a - k) + 1) - 1)
+    for j in range(1, k + 1):
+        _mul_binomial_list(out, 1, a - j + 1)
+        _div_binomial_list(out, 1, j)
+    return LaurentSeries.from_coeffs(out, 0, order)
 
 
 def qbinomial_theorem_lhs_rhs(n: int, z: Monomial, order: int):

@@ -164,6 +164,25 @@ def test_series_errors(capsys):
     assert code == 2 and "column 8" in err
 
 
+def test_series_order_one(capsys):
+    code, out, _ = run_cli(capsys, "series", "q", "--order", "1")
+    assert code == 0 and out.split() == ["0", "0"]
+    code, _, err = run_cli(capsys, "series", "1/(q-q)", "--order", "1")
+    assert code == 2 and "q-q" in err
+
+
+def test_series_non_ascii_digit_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "series", "q^\u00b2", "--order", "5")
+    assert code == 2 and out == ""
+    assert "line 1, column 3: unexpected character" in err
+
+
+def test_seq_rejects_a_bad_counter_argument(capsys):
+    code, out, err = run_cli(capsys, "seq", "a", "--m", "0", "--from", "1", "--to", "6")
+    assert code == 2 and out == ""
+    assert err == "error: multiplicity bound must be positive\n"
+
+
 def test_series_env_order(capsys, monkeypatch):
     monkeypatch.setenv("QPARTITIONS_ORDER", "3")
     code, out, _ = run_cli(capsys, "series", "1/poch(q;1;inf)")

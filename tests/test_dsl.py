@@ -210,3 +210,64 @@ def test_power_takes_logarithmically_many_products(monkeypatch):
         else:
             exps = range(out.min_exp, out.trunc_order)
             assert [e for e in exps if out.coeff(e)] == support, text
+
+
+@pytest.mark.parametrize("text", [
+    "q", "1+q", "(1-q)/(1-q)", "q^-2*(1+q)", "-q", "q^3", "q*q^-1",
+    "1/poch(q;1;inf)", "qbin(4,2)*q", "(1+q)^-3",
+])
+def test_order_one_is_the_order_two_value_cut_at_one(text):
+    # q is built on a window of at least [0, 2), so order 1 is no special case
+    ast = parse(text)
+    assert evaluate(ast, 1) == evaluate(ast, 2).truncate(1), text
+
+
+@pytest.mark.parametrize("text, culprit", [("1/(q-q)", "q-q"), ("1/(2+q)", "2+q")])
+def test_order_one_division_errors(text, culprit):
+    with pytest.raises(DslEvalError) as err:
+        eval_text(text, 1)
+    assert str(err.value).startswith(f"cannot evaluate {culprit}: ")
+
+
+@pytest.mark.parametrize("text, col", [
+    ("q^²", 3), ("q^٣", 3), ("é", 1), ("1+ｑ", 3), ("qé", 2),
+    ("1+\n 2*³", 4),
+])
+def test_non_ascii_characters_are_syntax_errors(text, col):
+    # integers and names are ASCII: a superscript or Arabic-Indic digit is
+    # neither read as a digit nor left to crash int()
+    with pytest.raises(DslSyntaxError, match="unexpected character") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (text.count("\n") + 1, col)
+
+
+def test_finite_leaves_are_built_on_the_window_read(monkeypatch):
+    from qpartitions import qobjects
+
+    def spy(*args):
+        raise AssertionError(f"exact polynomial built for {args}")
+
+    for module in (qobjects, dsl):
+        monkeypatch.setattr(module, "poch_finite", spy, raising=False)
+        monkeypatch.setattr(module, "qbin", spy, raising=False)
+    # full degrees 320,400 and 22,500; only 10 coefficients are read
+    assert eval_text("poch(q;1;800)", 10).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0)
+    assert eval_text("qbin(300,150)", 10).coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30)
+
+
+def test_finite_leaves_match_the_exact_values_truncated():
+    from qpartitions.qobjects import poch_finite, qbin
+
+    for a in range(13):
+        for b in range(-2, a + 3):
+            for w in (1, 5, 40):
+                assert dsl._ev(Qbin(a, b), w) == qbin(a, b).truncate(w), (a, b, w)
+    for param in (Monomial(1, 1), Monomial(-2, 3), Monomial(1, 0), Monomial(3, 0),
+                  Monomial.zero()):
+        for step in (1, 2):
+            for length in range(6):
+                for w in (1, 4, 30):
+                    want = poch_finite(param, step, length).truncate(w)
+                    assert dsl._ev(Poch(param, step, length), w) == want
+    with pytest.raises(DslEvalError, match=r"qbin\(-1,2\): upper index must be non-negative"):
+        eval_text("qbin(-1,2)", 5)

@@ -270,6 +270,45 @@ def test_counters_handle_small_n():
     assert count_a(3, -1) == 0
 
 
+_MULT = "multiplicity bound must be positive"
+_DIFF = "difference must be non-negative"
+_MOD = "regularity modulus must be at least 2"
+_AREG = "requires m >= 1 and l >= 2"
+_Q_ARGS = "requires l >= 2 and k >= 3"
+
+
+# Every argument check of every public counter, each at its boundary; n is
+# the last positional argument but one for the counters with a difference.
+@pytest.mark.parametrize("counter, args, message", [
+    (count_p_fixed_diff, ("n", -1), _DIFF),
+    (count_a, (0, "n"), _MULT),
+    (count_a_diff, (0, "n", 1), _MULT),
+    (count_a_diff, (1, "n", -1), _DIFF),
+    (count_Q, (1, 3, "n"), _Q_ARGS),
+    (count_Q, (2, 2, "n"), _Q_ARGS),
+    (count_Q, (2, 3, "n", "bogus"), "unknown convention 'bogus'"),
+    (count_p_star, (0, "n"), "minimum part must be positive"),
+    (count_pbar_diff, ("n", -1), _DIFF),
+    (count_abar, (0, "n"), _MULT),
+    (count_abar_diff, (0, "n", 1), _MULT),
+    (count_abar_diff, (1, "n", -1), _DIFF),
+    (count_breg, (1, "n"), _MOD),
+    (count_breg_diff, (1, "n", 1), _MOD),
+    (count_breg_diff, (2, "n", -1), _DIFF),
+    (count_areg, (0, 2, "n"), _AREG),
+    (count_areg, (1, 1, "n"), _AREG),
+    (count_areg_diff, (0, 2, "n", 1), _AREG),
+    (count_areg_diff, (1, 1, "n", 1), _AREG),
+    (count_areg_diff, (1, 2, "n", -1), _DIFF),
+], ids=lambda x: x.__name__ if callable(x) else None)
+@pytest.mark.parametrize("n", [0, 9])
+def test_counters_reject_bad_arguments(counter, args, message, n):
+    # checked before n is looked at, so n = 0 is no way around them
+    with pytest.raises(ValueError) as err:
+        counter(*[n if a == "n" else a for a in args])
+    assert str(err.value) == message
+
+
 def _generated(nmax, lo, mod, over, t=None):
     # every n <= nmax by the multiplicity of the smallest part, from the
     # lexicographic generators
