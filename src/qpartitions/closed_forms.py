@@ -239,37 +239,33 @@ def gf_pbar(order: int) -> LaurentSeries:
     return neg.mul(euler_qinf(order).inverse(order))
 
 
-@lru_cache(maxsize=None)
-def gf_abar_m(m: int, order: int) -> LaurentSeries:
-    """Overpartition smallest-multiplicity GF:
-    sum_k 2 q^(mk) (-q^k)_inf / ((1+q^k)(q^k)_inf)."""
+def _abar_sum(m: int, j: int, order: int) -> LaurentSeries:
+    # sum_{k>=1} q^(mk) (-q^(k+j))_inf / (q^k)_inf.  Both smallest-multiplicity
+    # forms are this sum: (-q^k)_inf / (1+q^k) = (-q^(k+1))_inf.
     if m < 1 or order < 1:
         raise ValueError("requires m >= 1 and order >= 1")
     acc = LaurentSeries.zero(order)
     k = 1
     while m * k < order:
-        term = poch_infinite(Monomial(-1, k), 1, order)
+        term = poch_infinite(Monomial(-1, k + j), 1, order)
         term = term.mul(poch_infinite(Monomial(1, k), 1, order).inverse(order))
-        term = term.div_binomial(-1, k).scale(2)
         acc = acc.add(term.shift(m * k).truncate(order))
         k += 1
     return acc
+
+
+@lru_cache(maxsize=None)
+def gf_abar_m(m: int, order: int) -> LaurentSeries:
+    """Overpartition smallest-multiplicity GF:
+    sum_k 2 q^(mk) (-q^k)_inf / ((1+q^k)(q^k)_inf)."""
+    return _abar_sum(m, 1, order).scale(2)
 
 
 @lru_cache(maxsize=None)
 def gf_abar_m_alt(m: int, order: int) -> LaurentSeries:
     """Variant GF sum_k q^(mk) (-q^k)_inf / (q^k)_inf, for the convention
     where an overlined part is never equal to a plain one."""
-    if m < 1 or order < 1:
-        raise ValueError("requires m >= 1 and order >= 1")
-    acc = LaurentSeries.zero(order)
-    k = 1
-    while m * k < order:
-        term = poch_infinite(Monomial(-1, k), 1, order)
-        term = term.mul(poch_infinite(Monomial(1, k), 1, order).inverse(order))
-        acc = acc.add(term.shift(m * k).truncate(order))
-        k += 1
-    return acc
+    return _abar_sum(m, 0, order)
 
 
 @lru_cache(maxsize=None)

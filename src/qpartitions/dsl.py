@@ -19,6 +19,8 @@ An expression evaluates at any order >= 1 on the window [min_exp, order).
 Finite ``poch`` and ``qbin`` leaves are built on the window that is read,
 never as their exact polynomials, and the factors of a product are
 evaluated on windows widened by the other factors' negative exponents.
+A divisor whose lowest term lies past its window is evaluated again on
+doubled windows, up to 64 past it, until its valuation shows.
 """
 
 from __future__ import annotations
@@ -345,9 +347,16 @@ def _guarded(node, build, *args) -> LaurentSeries:
 
 def _invert(node, w: int) -> LaurentSeries:
     # inverse of node's value, windowed so a product with a series of
-    # min_exp >= 0 keeps w coefficients
+    # min_exp >= 0 keeps w coefficients.  A divisor whose lowest term lies
+    # past its window reads as zero there, so a zero divisor is evaluated
+    # again on doubled windows until its valuation shows, up to w + 64.
     den = _ev(node, w)
     v = den.valuation()
+    wide = w
+    while v is None and wide < w + 64:
+        wide = min(2 * wide, w + 64)
+        den = _ev(node, wide)
+        v = den.valuation()
     if v is None:
         raise DslEvalError(
             f"cannot evaluate {format_ast(node)}: divisor vanishes on the computed window"

@@ -28,6 +28,13 @@ every d up to a bound, including the rows a caller skips (``reg_div``
 reads only d divisible by its modulus).  See ``_HistCache``.  ``count_p``
 alone uses the pentagonal-number recurrence.
 
+Sizes below 1 have no sweep row: no partition of n < 1 has a smallest
+part, so ``_HistCache`` answers every n < 1 with an empty histogram (a
+u-bar total of 0) and sweeps nothing.  The counters therefore read n < 1
+like any other n and return 0 there, except where the empty partition
+counts: ``count_p_star``, ``count_pbar`` and ``count_breg`` are 1 at
+n = 0, and ``count_Q`` is 1 at target 0 under ``at_least``.
+
 The u-bar counts are swept by a stack walk of their own.  An overpartition
 is a base partition plus a choice of overlined runs (at most one overline
 per value), so weighting each base partition by how many choices satisfy
@@ -330,6 +337,9 @@ class _HistCache:
       cost, at (59, 6), (100, 30) and (120, 40).  In the catalog only
       ``reg_odd`` and ``reg_nondiv`` make lone reads, on small shapes.
     - The u-bar key holds per-n totals (``_sweep_ubar``).
+    - No key has a row below 1: ``get`` answers every n < 1 with ``{}``
+      and ``ubar`` with 0, sweeping nothing, so no counter needs its own
+      n-edge return.
     """
 
     def __init__(self) -> None:
@@ -337,7 +347,7 @@ class _HistCache:
 
     def get(self, n: int, *, lo: int = 1, mod: int | None = None,
             diff: int | None = None, over: bool = False) -> dict[int, int]:
-        if n < 0:
+        if n < 1:
             return {}
         if diff is None:
             return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
@@ -349,7 +359,9 @@ class _HistCache:
         return self._swept(shape, n, _sweep_diff, diff, lo, mod, over)[n]
 
     def ubar(self, n: int) -> int:
-        """The u-bar total of n >= 0, from a key grown like a plain one."""
+        """The u-bar total of n, from a key grown like a plain one."""
+        if n < 1:
+            return 0
         return self._swept(("ubar",), n, _sweep_ubar)[n]
 
     def _swept(self, key: tuple, n: int, sweep, *args) -> list:
@@ -376,6 +388,30 @@ def _total(hist: dict[int, int], m: int = 1) -> int:
     return sum(cnt for c, cnt in hist.items() if c >= m)
 
 
+# One check per argument kind that several counters share; each counter
+# makes its checks before it reads n, in the order of its parameters.
+
+
+def _check_mult(m: int) -> None:
+    if m < 1:
+        raise ValueError("multiplicity bound must be positive")
+
+
+def _check_diff(t: int) -> None:
+    if t < 0:
+        raise ValueError("difference must be non-negative")
+
+
+def _check_modulus(l: int) -> None:
+    if l < 2:
+        raise ValueError("regularity modulus must be at least 2")
+
+
+def _check_mult_modulus(m: int, l: int) -> None:
+    if m < 1 or l < 2:
+        raise ValueError("requires m >= 1 and l >= 2")
+
+
 # ----------------------------------------------------------------------
 # counting functions (plain partitions)
 # ----------------------------------------------------------------------
@@ -383,30 +419,20 @@ def _total(hist: dict[int, int], m: int = 1) -> int:
 
 def count_p_fixed_diff(n: int, t: int) -> int:
     """Partitions of n with largest part minus smallest part exactly t."""
-    if t < 0:
-        raise ValueError("difference must be non-negative")
-    if n < 1:
-        return 0
+    _check_diff(t)
     return _total(_hists.get(n, diff=t))
 
 
 def count_a(m: int, n: int) -> int:
     """Partitions of n whose smallest part occurs at least m times."""
-    if m < 1:
-        raise ValueError("multiplicity bound must be positive")
-    if n < 1:
-        return 0
+    _check_mult(m)
     return _total(_hists.get(n), m)
 
 
 def count_a_diff(m: int, n: int, d: int) -> int:
     """As count_a, additionally requiring largest - smallest == d."""
-    if m < 1:
-        raise ValueError("multiplicity bound must be positive")
-    if d < 0:
-        raise ValueError("difference must be non-negative")
-    if n < 1:
-        return 0
+    _check_mult(m)
+    _check_diff(d)
     return _total(_hists.get(n, diff=d), m)
 
 
@@ -424,8 +450,6 @@ def count_Q(l: int, k: int, n: int, convention: str = "at_least") -> int:
     if convention not in ("at_least", "exactly"):
         raise ValueError(f"unknown convention {convention!r}")
     target = n - l * (k - 1)
-    if target < 0:
-        return 0
     if target == 0:
         return 1 if convention == "at_least" else 0
     at_least = _total(_hists.get(target, lo=k))
@@ -438,8 +462,6 @@ def count_p_star(m: int, n: int) -> int:
     """Partitions of n with least part >= m; 1 at n == 0."""
     if m < 1:
         raise ValueError("minimum part must be positive")
-    if n < 0:
-        return 0
     if n == 0:
         return 1
     return _total(_hists.get(n, lo=m))
@@ -452,8 +474,6 @@ def count_p_star(m: int, n: int) -> int:
 
 def count_pbar(n: int) -> int:
     """Number of overpartitions of n; 1 at n == 0."""
-    if n < 0:
-        return 0
     if n == 0:
         return 1
     return _total(_hists.get(n, over=True))
@@ -461,10 +481,7 @@ def count_pbar(n: int) -> int:
 
 def count_pbar_diff(n: int, t: int) -> int:
     """Overpartitions of n with largest value minus smallest value exactly t."""
-    if t < 0:
-        raise ValueError("difference must be non-negative")
-    if n < 1:
-        return 0
+    _check_diff(t)
     return _total(_hists.get(n, diff=t, over=True))
 
 
@@ -473,21 +490,14 @@ def count_abar(m: int, n: int) -> int:
 
     Overlined and plain copies of the smallest value count together.
     """
-    if m < 1:
-        raise ValueError("multiplicity bound must be positive")
-    if n < 1:
-        return 0
+    _check_mult(m)
     return _total(_hists.get(n, over=True), m)
 
 
 def count_abar_diff(m: int, n: int, d: int) -> int:
     """As count_abar with largest - smallest == d."""
-    if m < 1:
-        raise ValueError("multiplicity bound must be positive")
-    if d < 0:
-        raise ValueError("difference must be non-negative")
-    if n < 1:
-        return 0
+    _check_mult(m)
+    _check_diff(d)
     return _total(_hists.get(n, diff=d, over=True), m)
 
 
@@ -516,8 +526,6 @@ def is_ubar_counted(parts: Overpartition) -> bool:
 
 def count_ubar(n: int) -> int:
     """Overpartitions of n satisfying the u-bar side conditions."""
-    if n < 1:
-        return 0
     return _hists.ubar(n)
 
 
@@ -528,10 +536,7 @@ def count_ubar(n: int) -> int:
 
 def count_breg(l: int, n: int) -> int:
     """Partitions of n with no part divisible by l; 1 at n == 0."""
-    if l < 2:
-        raise ValueError("regularity modulus must be at least 2")
-    if n < 0:
-        return 0
+    _check_modulus(l)
     if n == 0:
         return 1
     return _total(_hists.get(n, mod=l))
@@ -539,32 +544,21 @@ def count_breg(l: int, n: int) -> int:
 
 def count_breg_diff(l: int, n: int, t: int) -> int:
     """l-regular partitions of n with largest - smallest == t."""
-    if l < 2:
-        raise ValueError("regularity modulus must be at least 2")
-    if t < 0:
-        raise ValueError("difference must be non-negative")
-    if n < 1:
-        return 0
+    _check_modulus(l)
+    _check_diff(t)
     return _total(_hists.get(n, mod=l, diff=t))
 
 
 def count_areg(m: int, l: int, n: int) -> int:
     """l-regular partitions of n with smallest part occurring >= m times."""
-    if m < 1 or l < 2:
-        raise ValueError("requires m >= 1 and l >= 2")
-    if n < 1:
-        return 0
+    _check_mult_modulus(m, l)
     return _total(_hists.get(n, mod=l), m)
 
 
 def count_areg_diff(m: int, l: int, n: int, k: int) -> int:
     """As count_areg with largest - smallest == k."""
-    if m < 1 or l < 2:
-        raise ValueError("requires m >= 1 and l >= 2")
-    if k < 0:
-        raise ValueError("difference must be non-negative")
-    if n < 1:
-        return 0
+    _check_mult_modulus(m, l)
+    _check_diff(k)
     return _total(_hists.get(n, mod=l, diff=k), m)
 
 

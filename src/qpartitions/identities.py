@@ -463,7 +463,8 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
     identity cannot honor (a negative ``to`` for a countwise entry, an
     ``order`` below 1 for a serieswise one, or a window the series layer
     rejects) comes back as a skipped report over the default grid; any
-    other error is a fault and propagates.
+    other error is a fault and propagates.  A grid with no points checks
+    nothing, so it too is skipped, reported over the requested grid.
     """
     ident = get_identity(identity_id)
     start = time.perf_counter()
@@ -491,6 +492,8 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
             points, ces = _series_grid(ident.points(bound, incl))
     except SeriesError as exc:
         return report("skipped", ident.bound, reason=str(exc))
+    if not points:
+        return report("skipped", bound, reason="the grid has no points")
     return report("refuted" if ces else "verified", bound, points, ces)
 
 

@@ -125,6 +125,19 @@ def test_verify_all_reduced_grid(capsys):
     assert ids == [ident.id for ident in registry()]
 
 
+def test_verify_all_on_empty_grids_is_skipped(capsys):
+    # n <= 0 and order 1 leave every countwise grid and most serieswise
+    # ones empty; none of those may read as verified, remark7 least of all
+    code, out, _ = run_cli(capsys, "verify", "all", "--to", "0", "--order", "1",
+                           "--format", "json")
+    assert code == 2
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 23
+    assert not [r["identity"] for r in reports if r["status"] == "verified" and not r["points"]]
+    remark7 = next(r for r in reports if r["identity"] == "remark7")
+    assert (remark7["status"], remark7["reason"]) == ("skipped", "the grid has no points")
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -20,6 +20,7 @@ from qpartitions.closed_forms import (
     remark7_rhs,
 )
 from qpartitions.enumeration import (
+    PartitionFilter,
     count_a,
     count_a_diff,
     count_abar,
@@ -28,6 +29,7 @@ from qpartitions.enumeration import (
     count_p,
     count_p_fixed_diff,
     count_ubar,
+    gen_overpartitions,
 )
 from qpartitions.qobjects import Monomial, poch_finite, poch_finite_window, qbin
 from qpartitions.series import LaurentSeries
@@ -271,6 +273,15 @@ def test_gf_abar_m_alt_builds():
         gf = gf_abar_m_alt(m, 21)
         assert gf.valuation() == m
         assert gf.coeff(m) == 1
+    # term by term, q^(mk) (-q^k)_inf / (q^k)_inf counts the overpartitions
+    # of n - mk whose parts are all at least k, read here off the generator
+    at_least = {(k, n): sum(1 for _ in gen_overpartitions(n, PartitionFilter(min_part=k)))
+                for k in range(1, 21) for n in range(21)}
+    for m in (1, 2, 3):
+        gf = gf_abar_m_alt(m, 21)
+        for n in range(21):
+            want = sum(at_least[k, n - m * k] for k in range(1, n // m + 1))
+            assert gf.coeff(n) == want, (m, n)
 
 
 def test_gf_ubar_matches_oracle():

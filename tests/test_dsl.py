@@ -82,11 +82,16 @@ def test_eval_examples():
 
 
 def test_eval_division_errors():
-    with pytest.raises(DslEvalError) as err:
-        eval_text("1/(2+q)", 5)
-    assert "2+q" in str(err.value)
-    with pytest.raises(DslEvalError):
-        eval_text("1/(q-q)", 5)
+    # a zero divisor is evaluated again on wider windows, up to a cap, and
+    # still fails with its own message
+    for order in (3, 5):
+        with pytest.raises(DslEvalError) as err:
+            eval_text("1/(2+q)", order)
+        assert str(err.value) == ("cannot evaluate 2+q: lowest nonzero coefficient 2 "
+                                  "is not a unit; cannot invert exactly")
+        with pytest.raises(DslEvalError) as err:
+            eval_text("1/(q-q)", order)
+        assert str(err.value) == "cannot evaluate q-q: divisor vanishes on the computed window"
     with pytest.raises(DslEvalError) as err:
         eval_text("1/poch(2;1;inf)", 5)  # non-truncating infinite product
     assert "poch(2;1;inf)" in str(err.value)
@@ -271,3 +276,29 @@ def test_finite_leaves_match_the_exact_values_truncated():
                     assert dsl._ev(Poch(param, step, length), w) == want
     with pytest.raises(DslEvalError, match=r"qbin\(-1,2\): upper index must be non-negative"):
         eval_text("qbin(-1,2)", 5)
+
+
+@pytest.mark.parametrize("text", ["1/q^5", "1/(q^5+q^6)", "(1+q)/q^3"])
+def test_divisor_valuation_past_the_window(text):
+    # the divisor's lowest term lies at or past the window, so it reads as
+    # zero there until it is evaluated again on a wider one
+    ast = parse(text)
+    deep = evaluate(ast, 12)
+    for order in range(1, 7):
+        assert evaluate(ast, order) == deep.truncate(order), (text, order)
+    assert evaluate(parse("1/q^5"), 3).min_exp == -5
+
+
+def test_large_power_at_low_order_stays_on_its_window():
+    # leaves are built on the window read, never as exact polynomials, so
+    # a deep power costs what its five coefficients cost (best of three)
+    import time
+
+    ast = parse("(1+q)^3000")
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        evaluate(ast, 5)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01
+

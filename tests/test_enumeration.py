@@ -270,6 +270,76 @@ def test_counters_handle_small_n():
     assert count_a(3, -1) == 0
 
 
+def _no_sweeps(monkeypatch):
+    # any sweep, of any key, fails the test; the class is patched, since
+    # undoing an instance patch would leave a bound method on _hists
+    def spy(self, key, n, *args):
+        raise AssertionError(f"swept {key} for n = {n}")
+
+    _hists.clear()
+    monkeypatch.setattr(type(_hists), "_swept", spy)
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_cache_answers_sizes_below_one_without_sweeping(monkeypatch, n):
+    # no partition of n < 1 has a smallest part, so no key has such a row
+    _no_sweeps(monkeypatch)
+    for kw in ({}, {"lo": 3}, {"mod": 2}, {"over": True}, {"diff": 0},
+               {"diff": 2, "mod": 3, "over": True}):
+        assert _hists.get(n, **kw) == {}, kw
+    assert _hists.ubar(n) == 0
+
+
+# (counter, arguments with "n" for the size, value at n = 0); every counter
+# is 0 at n < 0
+_AT_ZERO = [
+    (count_p, ("n",), 1),
+    (count_p_fixed_diff, ("n", 0), 0),
+    (count_p_fixed_diff, ("n", 2), 0),
+    (count_a, (1, "n"), 0),
+    (count_a, (2, "n"), 0),
+    (count_a_diff, (1, "n", 0), 0),
+    (count_a_diff, (2, "n", 3), 0),
+    (count_p_star, (1, "n"), 1),
+    (count_p_star, (4, "n"), 1),
+    (count_pbar, ("n",), 1),
+    (count_pbar_diff, ("n", 0), 0),
+    (count_pbar_diff, ("n", 1), 0),
+    (count_abar, (1, "n"), 0),
+    (count_abar, (3, "n"), 0),
+    (count_abar_diff, (1, "n", 0), 0),
+    (count_abar_diff, (2, "n", 2), 0),
+    (count_ubar, ("n",), 0),
+    (count_breg, (2, "n"), 1),
+    (count_breg, (5, "n"), 1),
+    (count_breg_diff, (2, "n", 0), 0),
+    (count_breg_diff, (3, "n", 1), 0),
+    (count_areg, (1, 2, "n"), 0),
+    (count_areg, (2, 3, "n"), 0),
+    (count_areg_diff, (1, 2, "n", 0), 0),
+    (count_areg_diff, (2, 3, "n", 1), 0),
+]
+
+
+@pytest.mark.parametrize("counter, args, at_zero", _AT_ZERO,
+                         ids=lambda x: x.__name__ if callable(x) else None)
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_counters_at_sizes_below_one(monkeypatch, counter, args, at_zero, n):
+    _no_sweeps(monkeypatch)
+    want = at_zero if n == 0 else 0
+    assert counter(*[n if a == "n" else a for a in args]) == want
+
+
+@pytest.mark.parametrize("convention, at_target_zero", [("at_least", 1), ("exactly", 0)])
+def test_count_Q_at_targets_below_one(monkeypatch, convention, at_target_zero):
+    # the target is n - l(k - 1): 0 at n = 4 for l = 2, k = 3
+    _no_sweeps(monkeypatch)
+    assert count_Q(2, 3, 4, convention) == at_target_zero
+    assert count_Q(4, 5, 16, convention) == at_target_zero
+    for n in (3, 0, -1, -7):
+        assert count_Q(2, 3, n, convention) == 0, n
+
+
 _MULT = "multiplicity bound must be positive"
 _DIFF = "difference must be non-negative"
 _MOD = "regularity modulus must be at least 2"

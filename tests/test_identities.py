@@ -156,6 +156,17 @@ def test_skipped_report_on_impossible_override():
         assert r.status == "skipped" and r.points == 0 and r.reason
 
 
+def test_empty_grid_is_skipped_over_the_requested_grid():
+    # a grid with no points checks nothing: skipped, with the grid that was
+    # asked for, not the default one
+    for identity_id, kw in (("reg_div", {"to": 1}), ("prop1", {"to": 0}),
+                            ("remark7", {"to": 0})):
+        r = verify(identity_id, **kw)
+        assert (r.status, r.points, r.reason) == ("skipped", 0, "the grid has no points")
+        assert r.grid == get_identity(identity_id).grid(kw["to"], False)
+    assert verify("reg_div", to=2).status == "verified"
+
+
 def test_verify_propagates_runner_faults(monkeypatch):
     # a fault inside a counter is not an impossible override: it must
     # surface instead of turning into a skipped report
