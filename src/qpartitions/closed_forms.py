@@ -98,25 +98,18 @@ class BracketPolynomial(FrozenRecord):
 
 @lru_cache(maxsize=None)
 def bracket_polynomial(m: int) -> BracketPolynomial:
-    """Exact bracket polynomial for a given multiplicity bound m >= 2."""
+    """Exact bracket polynomial for a given multiplicity bound m >= 2.
+
+    Term k is term k - 1 times the exact (q^-(m-k) - 1), and the terms are
+    summed with alternating signs.
+    """
     if m < 2:
         raise ValueError("requires m >= 2")
-    total = {0: 1}
+    total = term = LaurentSeries.polynomial((1,))
     for k in range(1, m):
-        prod = {0: 1}
-        for i in range(k):
-            j = m - 1 - i
-            nxt: dict[int, int] = {}
-            for e, c in prod.items():
-                nxt[e - j] = nxt.get(e - j, 0) + c
-                nxt[e] = nxt.get(e, 0) - c
-            prod = nxt
-        sign = -1 if k % 2 else 1
-        for e, c in prod.items():
-            total[e] = total.get(e, 0) + sign * c
-    lo = -m * (m - 1) // 2
-    coeffs = [total.get(e, 0) for e in range(lo, 1)]
-    return BracketPolynomial(m, LaurentSeries.polynomial(coeffs, lo))
+        term = term.mul(LaurentSeries.polynomial((1,) + (0,) * (m - k - 1) + (-1,), k - m))
+        total = total.sub(term) if k % 2 else total.add(term)
+    return BracketPolynomial(m, total)
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +151,8 @@ def gf_a_m_sum(m: int, order: int) -> LaurentSeries:
 @lru_cache(maxsize=None)
 def _full_bracket_quotient(m: int, order: int) -> LaurentSeries:
     # bracket / (q;q)_inf on the window [-m(m-1)/2, order)
+    if m < 2 or order < 1:
+        raise ValueError("requires m >= 2 and order >= 1")
     depth = m * (m - 1) // 2
     qinv = euler_qinf(order + depth).inverse(order + depth)
     return bracket_polynomial(m).series.mul(qinv)
@@ -170,15 +165,11 @@ def gf_a_m_thm(m: int, order: int) -> LaurentSeries:
     non-positive part of the same product, which is the reading under which
     the m = 2 case collapses to ``2p(n) - p(n+1)``.
     """
-    if m < 2 or order < 1:
-        raise ValueError("requires m >= 2 and order >= 1")
     return _full_bracket_quotient(m, order).pos_part()
 
 
 def gf_a_m_thm_correction(m: int, order: int) -> LaurentSeries:
     """The non-positive-exponent correction subtracted in gf_a_m_thm."""
-    if m < 2 or order < 1:
-        raise ValueError("requires m >= 2 and order >= 1")
     return _full_bracket_quotient(m, order).nonpos_part()
 
 
@@ -202,6 +193,8 @@ def gf_a_m_diff(m: int, l: int, order: int) -> LaurentSeries:
     drop their factors past it, and each qbin(l, j) is stepped by its
     product form on the window its shifted term reads.
     """
+    if m < 1:
+        raise ValueError("requires m >= 1")
     if l < 2:
         raise ValueError("requires difference l > 1")
     if l < m + 1:

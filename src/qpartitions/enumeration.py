@@ -666,10 +666,3 @@ def gen_overpartitions(n: int, f: PartitionFilter = EMPTY_FILTER):
                 else:
                     parts.extend(((v, False),) * c)
             yield tuple(parts)
-
-
-def format_overpartition(parts: Overpartition) -> str:
-    """Human-readable rendering, overlined values marked with a trailing '~'."""
-    if not parts:
-        return "0"
-    return "+".join(f"{v}~" if ov else str(v) for v, ov in parts)

@@ -3,13 +3,16 @@
 Pochhammer parameters are restricted to integer monomials c*q**e.  Every
 generating function assembled downstream factors through these few
 primitives, all of which return :class:`~qpartitions.series.LaurentSeries`
-values with exact integer coefficients.  ``poch_finite`` and ``qbin`` (its
-zero for b out of range too) return exact polynomials, the other builders
-values truncated at their ``order``; the private ``_qbin_window`` is
-``qbin`` on a window, for callers that read only that window.  The Pochhammer products and
-``q_hyper_sum`` run on one coefficient list with the shared binomial list
-kernels of :mod:`qpartitions.series` and build a single series value at
-the end.
+values with exact integer coefficients.  Each q-object has one loop, on
+one coefficient list with the shared binomial list kernels of
+:mod:`qpartitions.series`, and builds a single series value at the end:
+:func:`poch_finite_window` for the Pochhammer products, ``_qbin_window``
+for the Gaussian binomials and ``_q_hyper_sum`` for the q-hypergeometric
+sums.  The window builders check every argument.  The exact values
+``poch_finite`` and ``qbin`` (zero for b out of range) are their window
+builds on [0, degree + 1), and ``poch_infinite`` is the finite loop with
+more factors than the window holds; the other builders return values
+truncated at their ``order``.
 """
 
 from __future__ import annotations
@@ -101,16 +104,10 @@ class Monomial(FrozenRecord):
 def poch_finite(a: Monomial, step: int, n: int) -> LaurentSeries:
     """The exact polynomial prod_{i=0}^{n-1} (1 - a*q^(step*i)).
 
-    The empty product (n == 0) is 1.  The result is an exact value stored
-    on [0, degree + 1).
+    The empty product (n == 0) is 1.  The result is
+    :func:`poch_finite_window` on [0, degree + 1), stored as an exact value.
     """
-    if step < 1:
-        raise ValueError("step must be a positive integer")
-    if n < 0:
-        raise ValueError("finite product length must be non-negative")
-    if a.is_zero() or n == 0:
-        return LaurentSeries.polynomial((1,))
-    degree = n * a.exp + step * n * (n - 1) // 2
+    degree = 0 if a.is_zero() else n * a.exp + step * n * (n - 1) // 2
     return LaurentSeries.polynomial(poch_finite_window(a, step, n, degree + 1).coeffs)
 
 
@@ -122,6 +119,8 @@ def poch_finite_window(a: Monomial, step: int, n: int, order: int) -> LaurentSer
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
+    if n < 0:
+        raise ValueError("finite product length must be non-negative")
     if order < 1:
         raise WindowError("order must be at least 1")
     if a.is_zero():
@@ -144,28 +143,23 @@ def poch_finite_window(a: Monomial, step: int, n: int, order: int) -> LaurentSer
 def poch_infinite(a: Monomial, step: int, order: int) -> LaurentSeries:
     """The infinite product (a; q^step)_inf truncated at ``order``.
 
-    Requires a.exp >= 1 for nonzero ``a``: otherwise every factor moves the
-    constant term and no truncation is sound.
+    The finite product of :func:`poch_finite_window` with ``order`` factors,
+    which reach past the window.  Requires a.exp >= 1 for nonzero ``a``:
+    otherwise every factor moves the constant term and no truncation is
+    sound.
     """
-    if step < 1:
-        raise ValueError("step must be a positive integer")
-    if order < 1:
-        raise WindowError("order must be at least 1")
-    if a.is_zero():
-        return LaurentSeries.one(order)
-    if a.exp < 1:
+    # a constant parameter is refused below, so none of its factors is built
+    out = poch_finite_window(a, step, max(order, 0) if a.exp else 0, order)
+    if a.exp < 1 and not a.is_zero():
         raise PochhammerError(
             f"infinite product with parameter {a}: factors never truncate"
         )
-    out = [1] + [0] * (order - 1)
-    for e in range(a.exp, order, step):
-        _mul_binomial_list(out, a.coeff, e)
-    return LaurentSeries(0, tuple(out), order)
+    return out
 
 
 def multi_poch_infinite(params, step: int, order: int) -> LaurentSeries:
     """Product of infinite Pochhammers over a list of monomial parameters."""
-    out = LaurentSeries.one(order)
+    out = poch_infinite(Monomial.zero(), step, order)
     for a in params:
         out = out.mul(poch_infinite(a, step, order))
     return out
@@ -270,33 +264,16 @@ def _q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
     return LaurentSeries(0, tuple(acc), order)
 
 
-def _poly_div_exact(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
-    # Exact division of exact polynomials (den has constant term +-1): the
-    # quotient, num/den cut after degree deg_n - deg_d, must multiply back to
-    # num with no remainder, which doubles as a self-test of the inputs.
-    deg_n = max((e for e, _ in num.terms()), default=0)
-    deg_d = max((e for e, _ in den.terms()), default=0)
-    quotient = LaurentSeries.polynomial(num.mul(den.inverse(max(deg_n - deg_d, 0) + 1)).coeffs)
-    if not quotient.mul(den).sub(num).is_zero():
-        raise SeriesError("polynomial division left a remainder")
-    return quotient
-
-
 @lru_cache(maxsize=None)
 def qbin(a: int, b: int) -> LaurentSeries:
     """The Gaussian binomial coefficient as an exact polynomial.
 
-    Computed as (q)_a / ((q)_b (q)_{a-b}) by exact division with a
-    zero-remainder check; returns 0 for b < 0 or b > a.  Memoized like
+    ``_qbin_window`` on [0, degree + 1), the degree being k(a - k) with
+    k = min(b, a - b); returns 0 for b < 0 or b > a.  Memoized like
     :func:`poch_infinite`: values are frozen, so callers share one.
     """
-    if a < 0:
-        raise ValueError("upper index must be non-negative")
-    if b < 0 or b > a:
-        return LaurentSeries.polynomial((0,))
-    q1 = Monomial.q()
-    den = poch_finite(q1, 1, b).mul(poch_finite(q1, 1, a - b))
-    return _poly_div_exact(poch_finite(q1, 1, a), den)
+    k = min(b, a - b)
+    return LaurentSeries.polynomial(_qbin_window(a, b, max(k * (a - k), 0) + 1).coeffs)
 
 
 def _qbin_window(a: int, b: int, order: int) -> LaurentSeries:

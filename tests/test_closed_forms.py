@@ -31,8 +31,10 @@ from qpartitions.enumeration import (
     count_ubar,
     gen_overpartitions,
 )
-from qpartitions.qobjects import Monomial, poch_finite, poch_finite_window, qbin
+from qpartitions.qobjects import Monomial, poch_finite, poch_finite_window
 from qpartitions.series import LaurentSeries
+
+from gaussian import gaussian_by_division
 
 
 def series_matches_counts(series, counter, upto):
@@ -76,6 +78,31 @@ def test_bracket_polynomial():
         bm = bracket_polynomial(m).series
         assert bm.min_exp == -m * (m - 1) // 2
         assert bm.trunc_order == 1
+
+
+def _reference_bracket(m):
+    # 1 + sum_{k=1}^{m-1} (-1)^k prod_{i=0}^{k-1} (q^-(m-1-i) - 1) by dict
+    # arithmetic, each product built from scratch
+    total = {0: 1}
+    for k in range(1, m):
+        prod = {0: 1}
+        for i in range(k):
+            j = m - 1 - i
+            nxt = {}
+            for e, c in prod.items():
+                nxt[e - j] = nxt.get(e - j, 0) + c
+                nxt[e] = nxt.get(e, 0) - c
+            prod = nxt
+        sign = -1 if k % 2 else 1
+        for e, c in prod.items():
+            total[e] = total.get(e, 0) + sign * c
+    lo = -m * (m - 1) // 2
+    return LaurentSeries.polynomial([total.get(e, 0) for e in range(lo, 1)], lo)
+
+
+def test_bracket_polynomial_matches_dict_reference():
+    for m in range(2, 13):
+        assert bracket_polynomial(m).series == _reference_bracket(m), m
 
 
 def test_gf_a_m_sum():
@@ -206,7 +233,7 @@ def _reference_gf_a_m_diff(m, l, order):
     bracket = poch_finite(q, 1, l)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        bracket = bracket.sub(qbin(l, j).shift(j + j * (j - 1) // 2).scale(sign))
+        bracket = bracket.sub(gaussian_by_division(l, j).shift(j + j * (j - 1) // 2).scale(sign))
     num = poch_finite(q, 1, m).mul(poch_finite(q, 1, l - m - 1))
     den_inv = poch_finite(q, 1, l).mul(poch_finite(q, 1, l)).inverse(work)
     sign = 1 if m % 2 else -1
@@ -250,6 +277,10 @@ def test_gf_a_m_diff_domain():
         gf_a_m_diff(3, 3, 20)
     with pytest.raises(ValueError):
         gf_a_m_diff(1, 1, 20)
+    # the closed form needs m >= 1, which is checked before l
+    for m, l in ((0, 4), (-1, 4), (0, 1), (-3, 2)):
+        with pytest.raises(ValueError, match="requires m >= 1"):
+            gf_a_m_diff(m, l, 20)
 
 
 def test_gf_pbar():

@@ -26,7 +26,6 @@ from qpartitions.enumeration import (
     count_pbar,
     count_pbar_diff,
     count_ubar,
-    format_overpartition,
     gen_overpartitions,
     gen_partitions,
     is_ubar_counted,
@@ -158,7 +157,6 @@ def test_overpartitions_of_three():
     ]
     assert got == want
     assert count_pbar(3) == 8
-    assert format_overpartition(want[3]) == "2~+1"
 
 
 def test_gen_overpartitions_filters():

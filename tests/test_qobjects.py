@@ -18,7 +18,9 @@ from qpartitions.qobjects import (
     qbin,
     qbinomial_theorem_lhs_rhs,
 )
-from qpartitions.series import LaurentSeries, NonInvertibleError, SeriesError, WindowError
+from qpartitions.series import LaurentSeries, NonInvertibleError, WindowError
+
+from gaussian import gaussian_by_division
 
 Q = Monomial.q()
 
@@ -49,6 +51,9 @@ def test_poch_finite_window_matches_exact():
     full = poch_finite(Q, 1, 6)
     win = poch_finite_window(Q, 1, 6, 10)
     assert win.eq_to(full, 10) and full.exact and not win.exact
+    # a negative length is an error on every window, as in poch_finite
+    with pytest.raises(ValueError, match="finite product length must be non-negative"):
+        poch_finite_window(Q, 1, -1, 5)
 
 
 def test_poch_infinite_examples():
@@ -57,6 +62,9 @@ def test_poch_infinite_examples():
     assert coeffs(p, 13) == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
     with pytest.raises(PochhammerError):
         poch_infinite(Monomial(1, 0), 1, 10)
+    # the window is checked before the factor count, which is the order
+    with pytest.raises(WindowError, match="order must be at least 1"):
+        poch_infinite(Q, 1, -1)
 
 
 def _reference_poch(a, step, n, order):
@@ -110,6 +118,12 @@ def test_multi_poch():
     n = 30
     assert multi_poch_infinite([Q], 1, n).eq_to(poch_infinite(Q, 1, n), n)
     assert multi_poch_infinite([], 1, 9).coeff(0) == 1
+    # with no parameters the product still checks its step and order
+    with pytest.raises(ValueError, match="step must be a positive integer"):
+        multi_poch_infinite([], 0, 5)
+    for params in ([], [Q]):
+        with pytest.raises(WindowError, match="order must be at least 1"):
+            multi_poch_infinite(params, 1, 0)
     # 1/(q; q^2)_inf and 1/(q, q^2; q^3)_inf count 2- and 3-regular partitions
     from qpartitions.enumeration import count_breg
 
@@ -296,41 +310,12 @@ def test_q_hyper_sum_memo_shares_one_value_per_normalized_key(uppers, lowers, t)
     assert q_hyper_sum((), (), zero, 40) is q_hyper_sum(uppers, lowers, zero, 40)
 
 
-def _gaussian_by_division(a, b):
-    # (q)_a / ((q)_b (q)_{a-b}) by a series inverse on a window holding every
-    # polynomial exactly, without qbin and its cache; an exact value
-    if not 0 <= b <= a:
-        return LaurentSeries.polynomial([0])
-    w = a * (a + 1) // 2 + 1
-
-    def windowed(s):
-        return LaurentSeries.from_coeffs(s.coeffs, 0, w)
-
-    den = windowed(poch_finite(Q, 1, b)).mul(windowed(poch_finite(Q, 1, a - b)))
-    quotient = windowed(poch_finite(Q, 1, a)).mul(den.inverse(w))
-    degree = b * (a - b)
-    assert not any(quotient.coeffs[degree + 1:])  # the quotient is a polynomial
-    return LaurentSeries.polynomial(quotient.coeffs[: degree + 1])
-
-
-def test_poly_div_exact_checks_the_remainder():
-    one_minus_q = LaurentSeries.polynomial([1, -1])
-    quotient = qobjects._poly_div_exact(LaurentSeries.polynomial([1, 0, 0, -1]), one_minus_q)
-    assert quotient == LaurentSeries.polynomial([1, 1, 1])
-    # (1 + q^3)/(1 - q) leaves the remainder 2q^3: 1 + q + q^2 is not its quotient
-    with pytest.raises(SeriesError, match="remainder"):
-        qobjects._poly_div_exact(LaurentSeries.polynomial([1, 0, 0, 1]), one_minus_q)
-    # a divisor of higher degree than a nonzero dividend
-    with pytest.raises(SeriesError, match="remainder"):
-        qobjects._poly_div_exact(LaurentSeries.polynomial([1, 1]), qbin(4, 2))
-
-
 def test_qbin_memo_matches_pochhammer_quotient():
     _clear_caches()
     for a in range(13):
         for b in range(-1, a + 2):
             value = qbin(a, b)
-            assert value == _gaussian_by_division(a, b), (a, b)
+            assert value == gaussian_by_division(a, b), (a, b)
             assert qbin(a, b) is value
     assert qbin.cache_info().misses == sum(a + 3 for a in range(13))
 
