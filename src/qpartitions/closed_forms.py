@@ -37,18 +37,27 @@ _Q = Monomial.q()
 # ----------------------------------------------------------------------
 
 
+def _check_n(n: int) -> None:
+    # below n = 1 the p combinations no longer count a_m(n), which is 0 there
+    if n < 1:
+        raise ValueError("requires n >= 1")
+
+
 def a2_via_p(n: int) -> int:
-    """Smallest part at least twice: 2p(n) - p(n+1)."""
+    """Smallest part at least twice: 2p(n) - p(n+1), n >= 1."""
+    _check_n(n)
     return 2 * count_p(n) - count_p(n + 1)
 
 
 def a3_via_p(n: int) -> int:
-    """Smallest part at least three times: 3p(n) - p(n+1) - 2p(n+2) + p(n+3)."""
+    """Smallest part at least three times: 3p(n) - p(n+1) - 2p(n+2) + p(n+3), n >= 1."""
+    _check_n(n)
     return 3 * count_p(n) - count_p(n + 1) - 2 * count_p(n + 2) + count_p(n + 3)
 
 
 def a4_via_p(n: int) -> int:
-    """Smallest part at least four times, as a seven-term p combination."""
+    """Smallest part at least four times, as a seven-term p combination, n >= 1."""
+    _check_n(n)
     return (
         4 * count_p(n)
         - count_p(n + 1)

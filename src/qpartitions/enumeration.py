@@ -9,16 +9,20 @@ multiplicity) and tally histograms keyed by the multiplicity of the
 smallest part.  Each counted partition (for overpartitions, each base
 partition, weighted 2^runs) gets its own increment; no count is derived in
 closed form.  Every sweep splits a partition at its floor f, the smallest
-part: for each allowed f one walk, ``_walk_prefixes``, makes every
-run-prefix of middle values above f once with an explicit stack, and
-closes it with the runs that end its partitions, k >= 1 copies of f and,
-for a fixed difference, the copies of the largest part.  Each sweep keeps
-one flat table, slot n * R + k for the partitions of n whose smallest part
-occurs k times, and lists once per floor, for each prefix sum s, the slots
-that the closing runs of a prefix summing to s fill; the walk closes each
-prefix as it makes it, by one bare ``for i in close[s]`` loop.  The plain,
-fixed-difference and (2d, d) family sweeps differ only in these lists; a
-family prefix closes into every d it fits.
+part: for each allowed f one walk, ``_walk_prefixes``, makes run-prefixes
+of middle values above f with an explicit stack and closes each with the
+runs that end its partitions, k >= 1 copies of f and, for a fixed
+difference, the copies of the largest part.  Each sweep keeps one flat
+table, slot n * R + k for the partitions of n whose smallest part occurs k
+times, and lists once per floor, for each prefix sum s, the slots that the
+closing runs of a prefix summing to s fill.  The plain, fixed-difference
+and (2d, d) family sweeps differ only in these lists; a family prefix
+closes into every d it fits.  The walk takes the floor's two least middle
+values out of its prefixes, except under ``over``: it extends the lists
+per floor to ending lists, one slot per ending (c >= 0 runs of each taken
+value, then the closing runs), makes only the prefixes of larger values,
+and closes each one once, as it pops it, by one bare ``for i in
+ends[s]`` loop.
 What a sweep tallies is set by its key and bound, not by the exact reads:
 every sweep covers each n up to a bound, which a caller reading a range
 sets by asking for its largest n first.  A fixed-difference shape is a key
@@ -157,38 +161,42 @@ def _walk_prefixes(F: list[int], close: list[list[int]], f: int, cap: int, top: 
     # Every run-prefix of middle values in (f, cap), none divisible by mod,
     # whose sum s is at most top closes through close[s]: its weight is
     # added at each slot listed there, one increment per partition.  The
-    # empty prefix weighs w, and under over each middle run doubles it.  A
-    # run of the least middle value ends its prefix, so it closes without a
-    # push, and a prefix is pushed only if such a run still fits.
-    for i in close[0]:
-        F[i] += w
-    least = f + 2 if mod and (f + 1) % mod == 0 else f + 1
-    room = top - least  # a prefix summing to more takes no middle run
-    if room < 0 or least >= cap:
-        return
+    # empty prefix weighs w, and under over each middle run doubles it.
+    # The two least middle values end prefixes without being walked: after
+    # the step for a taken value v, ends[u] concatenates ends[u], ends[u + v],
+    # ... of the step before, so it lists one slot per ending of a prefix
+    # summing to u, c >= 0 runs of each taken value and then the closing
+    # runs.  The walk makes only the prefixes of values above lo, the larger
+    # taken value, and closes each one once, as it pops it.  Its prefixes
+    # sum to 0 or to at least the least walked value, so below that sum a
+    # step builds ends only at the multiples of the value taken after it (at
+    # 0 after the last).  Under over a run's weight depends on the runs
+    # before it, so no value is taken and ends is close itself.
+    ends = close
+    lo = f
+    if not over:
+        values = [v for v in range(f + 1, min(cap, top + 1)) if not (mod and v % mod == 0)][:3]
+        least = values[2] if len(values) == 3 else top + 1
+        taken = values[:2]
+        for j, v in enumerate(taken):
+            step = taken[j + 1] if j + 1 < len(taken) else top + 1
+            ends = [list(chain.from_iterable(ends[u::v])) if u >= least or u % step == 0 else ()
+                    for u in range(top + 1)]
+            lo = v
     stack = [(cap, 0, w)]
     push = stack.append
     pop = stack.pop
     while stack:
         prev, used, w = pop()
+        for i in ends[used]:
+            F[i] += w
         if over:
             w += w
-        v = prev - 1
-        if v > top - used:
-            v = top - used
-        while v > least:
+        for v in range(min(prev - 1, top - used), lo, -1):
             if mod and v % mod == 0:
-                v -= 1
                 continue
             for s in range(used + v, top + 1, v):
-                for i in close[s]:
-                    F[i] += w
-                if s <= room:
-                    push((v, s, w))
-            v -= 1
-        for s in range(used + least, top + 1, least):
-            for i in close[s]:
-                F[i] += w
+                push((v, s, w))
 
 
 def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
@@ -228,10 +236,11 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
     # d = s + f(k + 1) <= D whose largest part mod does not divide; close[s]
     # lists their slots d * R + k.  Every prefix is shared by all the d it
     # closes into, which is why one family sweep to D costs far less than a
-    # sweep of each shape (2d, d), which also tallies every n below 2d (on
-    # one CPU of a 2-core Xeon: every d <= 60 as one family sweep took
-    # 0.51-0.58 s for 5.5M tallies, d = 26 .. 60 as 35 sweeps of their
-    # shapes 3.7-4.2 s for 35.9M).
+    # sweep of each shape (2d, d), which also tallies every n below 2d (5.5M
+    # tallies for every d <= 60 against 35.9M for d = 26 .. 60 as 35 sweeps
+    # of their shapes).  As in every mode, the walk ends its prefixes with
+    # runs of the floor's two least middle values through per-sum ending
+    # lists built from close, except under over.
     w = 1 if not over else 2 if t == 0 else 4  # the largest and floor runs
     if t is None:
         D = nmax // 2

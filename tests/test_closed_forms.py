@@ -60,6 +60,14 @@ def test_a3_a4_via_p():
         assert a4_via_p(n) == count_a(4, n)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+@pytest.mark.parametrize("formula", [a2_via_p, a3_via_p, a4_via_p], ids=lambda f: f.__name__)
+def test_p_combinations_reject_n_below_one(formula, n):
+    # a_m(n) is 0 below n = 1 but the combinations read 1, -1 or 1 there
+    with pytest.raises(ValueError, match=r"^requires n >= 1$"):
+        formula(n)
+
+
 def test_aG1_via_p():
     for n in range(1, 31):
         assert aG1_via_p(2, n) == a2_via_p(n)

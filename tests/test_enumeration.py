@@ -519,10 +519,14 @@ def test_family_diff_row_matches_recorded():
 
 
 # (nmax, t, lo, mod, over): the row shapes `seq p_diff` and `seq a_diff`
-# read, then shapes with overlines, a modulus or lo > 1 at the same scale
+# read, then shapes with overlines, a modulus or lo > 1 at the same scale;
+# last, t <= 3 without overlines, which leaves at most two middle values per
+# floor, so the walk takes every one into its ending lists
 @pytest.mark.parametrize("args", [(66, 20, 1, None, False), (62, 15, 1, None, False),
                                   (60, 7, 2, None, True), (56, 9, 1, 3, True),
-                                  (60, 12, 2, 4, False), (50, 6, 1, None, True)], ids=str)
+                                  (60, 12, 2, 4, False), (50, 6, 1, None, True)]
+                         + [(60, t, lo, mod, False) for lo, mod in ((1, 2), (1, 3), (2, None), (2, 3))
+                            for t in (1, 2, 3)], ids=str)
 def test_range_diff_matches_exact_target_at_every_n(args):
     # against the coin-change count of each target n
     nmax = args[0]
