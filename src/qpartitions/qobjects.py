@@ -6,13 +6,19 @@ primitives, all of which return :class:`~qpartitions.series.LaurentSeries`
 values with exact integer coefficients.  Each q-object has one loop, on
 one coefficient list with the shared binomial list kernels of
 :mod:`qpartitions.series`, and builds a single series value at the end:
-:func:`poch_finite_window` for the Pochhammer products, ``_qbin_window``
-for the Gaussian binomials and ``_q_hyper_sum`` for the q-hypergeometric
-sums.  The window builders check every argument.  The exact values
-``poch_finite`` and ``qbin`` (zero for b out of range) are their window
-builds on [0, degree + 1), and ``poch_infinite`` is the finite loop with
-more factors than the window holds; the other builders return values
+:func:`poch_finite_window` for the finite Pochhammer products,
+``_qbin_window`` for the Gaussian binomials and ``_q_hyper_sum`` for the
+q-hypergeometric sums.  The window builders check every argument.  The
+exact values ``poch_finite`` and ``qbin`` (zero for b out of range) are
+their window builds on [0, degree + 1); the other builders return values
 truncated at their ``order``.
+
+``poch_infinite`` builds a unit parameter's product (c = +-1) from its
+logarithmic derivative, q P'/P = sum_k L_k q^k, a recurrence for P solved
+by halves with one Kronecker product per split (``_from_log_derivative``),
+which costs O(M(order) log order) against the factor loop's
+O(order^2/step).  For |c| >= 2 the L_k grow like |c|^(k/e), so any other
+parameter keeps the finite loop with ``order`` factors.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .series import (
     SeriesError,
     WindowError,
     _div_binomial_list,
+    _kronecker,
     _mul_binomial_list,
 )
 
@@ -143,18 +150,68 @@ def poch_finite_window(a: Monomial, step: int, n: int, order: int) -> LaurentSer
 def poch_infinite(a: Monomial, step: int, order: int) -> LaurentSeries:
     """The infinite product (a; q^step)_inf truncated at ``order``.
 
-    The finite product of :func:`poch_finite_window` with ``order`` factors,
-    which reach past the window.  Requires a.exp >= 1 for nonzero ``a``:
-    otherwise every factor moves the constant term and no truncation is
-    sound.
+    Requires a.exp >= 1 for nonzero ``a``: otherwise every factor moves the
+    constant term and no truncation is sound.  For a unit parameter
+    a = c*q^e (c = +-1), q P'/P = sum_k L_k q^k with L_k = -sum e'*c^(k/e')
+    over the factors' exponents e' that divide k, so P comes from
+    k P_k = sum_{j<k} L_(k-j) P_j (:func:`_from_log_derivative`).  Any
+    other parameter is the factor loop :func:`poch_finite_window` with
+    ``order`` factors: for |c| >= 2 the L_k grow like |c|^(k/e'), and the
+    recurrence is slower than the loop.
     """
-    # a constant parameter is refused below, so none of its factors is built
-    out = poch_finite_window(a, step, max(order, 0) if a.exp else 0, order)
+    if step < 1:
+        raise ValueError("step must be a positive integer")
+    if order < 1:
+        raise WindowError("order must be at least 1")
     if a.exp < 1 and not a.is_zero():
         raise PochhammerError(
             f"infinite product with parameter {a}: factors never truncate"
         )
-    return out
+    c = a.coeff
+    if c not in (1, -1):
+        return poch_finite_window(a, step, order, order)
+    logd = [0] * order  # L_k: -e*c^(k/e) from each factor exponent e dividing k
+    for e in range(a.exp, order, step):
+        t = -e
+        for k in range(e, order, e):
+            t *= c
+            logd[k] += t
+    return LaurentSeries(0, tuple(_from_log_derivative(logd)), order)
+
+
+# Blocks of at most this many coefficients are solved by the plain recurrence.
+_PLAIN_BLOCK = 48
+
+
+def _from_log_derivative(logd: list[int]) -> list[int]:
+    # The coefficients P_0 .. P_(n-1), n = len(logd), of the series with
+    # P_0 = 1 and q P'/P = sum_k logd[k] q^k: k P_k = sum_{j<k} logd[k-j] P_j.
+    # Solved by halves: once P[lo:mid] is known, its terms of the sums for
+    # k in [mid, hi) are added to acc by one Kronecker product, so the upper
+    # half is solved from acc and its own terms alone.  Each k P_k is
+    # divided exactly; a remainder means a wrong logd or a bug, and raises
+    # ArithmeticError, which no caller reports as a bad argument.
+    n = len(logd)
+    P = [1] + [0] * (n - 1)
+    acc = [0] * n
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _PLAIN_BLOCK:
+            for k in range(max(lo, 1), hi):
+                s = acc[k] + sum(map(operator.mul, P[lo:k], logd[k - lo : 0 : -1]))
+                quo, r = divmod(s, k)
+                if r:
+                    raise ArithmeticError(f"{k} P_{k} = {s} is not a multiple of {k}")
+                P[k] = quo
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        prod = _kronecker(P[lo:mid], logd[1 : hi - lo], hi - lo - 1)
+        acc[mid:hi] = map(operator.add, acc[mid:hi], prod[mid - lo - 1 :])
+        solve(mid, hi)
+
+    solve(0, n)
+    return P
 
 
 def multi_poch_infinite(params, step: int, order: int) -> LaurentSeries:
@@ -169,8 +226,8 @@ def euler_qinf(order: int) -> LaurentSeries:
     """(q; q)_inf via the pentagonal-number expansion.
 
     sum_j (-1)^j q^(j(3j-1)/2) over all integers j, truncated at ``order``.
-    Much faster than multiplying factors; the two constructions are
-    cross-checked in the test suite.
+    Faster than ``poch_infinite(q, 1, order)``'s log-derivative recurrence
+    and independent of it; the test suite checks the two against each other.
     """
     if order < 1:
         raise WindowError("order must be at least 1")

@@ -15,13 +15,17 @@ windows up by slicing, the structural zeros becoming a prefix pad; ``mul``
 is Kronecker substitution (:func:`_kronecker`), which packs each operand
 into one integer and multiplies once with CPython's bigint product;
 ``inverse`` starts with a short schoolbook recurrence and continues with
-Newton steps on the same kernel.  Every result is exact.
+Newton steps on the same kernel.  :mod:`qpartitions.qobjects` calls the
+kernel too: an infinite product with a unit parameter is solved from its
+logarithmic derivative by halves, and one Kronecker product adds each lower
+half's share of the recurrence to its upper half.  Every result is exact.
 
 The binomial kernels are in-place list kernels shared by the
 ``mul_binomial``/``div_binomial`` methods and by :mod:`qpartitions.qobjects`,
-whose Pochhammer products and ``q_hyper_sum`` run on one list and build one
-series value at the end; ``closed_forms.gf_a_m_sum`` runs its nested
-k-sum on the divide kernel alone.  :func:`_mul_binomial_list` is one pass
+whose finite Pochhammer products, infinite ones with a non-unit parameter
+and ``q_hyper_sum`` run on one list and build one series value at the
+end; ``closed_forms.gf_a_m_sum`` runs its nested k-sum on the divide
+kernel alone.  :func:`_mul_binomial_list` is one pass
 over two aligned slices (a ``map`` of ``operator.sub`` or ``operator.add``
 for c = 1 or -1, the factors of (q)_n and (-q)_n, and a list
 comprehension for any other c), and :func:`_div_binomial_list` stays a

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from qpartitions import identities, qobjects
+from qpartitions import dsl, identities, qobjects
 from qpartitions.enumeration import count_a, count_p, gen_partitions
 from qpartitions.qobjects import (
     Monomial,
@@ -87,6 +87,38 @@ def test_poch_products_match_factor_by_factor_reference():
         assert poch_finite_window(a, step, n, order) == _reference_poch(a, step, n, order)
         if a.exp >= 1 or a.is_zero():
             assert poch_infinite(a, step, order) == _reference_poch(a, step, order, order)
+    # a unit parameter's log-derivative recurrence: plain below and at one
+    # block (48), by halves past it, five levels deep at 1500
+    for c in (1, -1):
+        for e in (1, 2, 3):
+            a = Monomial(c, e)
+            for step in (1, 2, 3, 10):
+                for order in (1, 2, 47, 48, 49, 97):
+                    assert poch_infinite(a, step, order) == _reference_poch(a, step, order, order)
+    for c, e, step in ((-1, 1, 10), (1, 2, 10), (-1, 3, 10), (-1, 2, 2), (1, 3, 3)):
+        a = Monomial(c, e)
+        assert poch_infinite(a, step, 1500) == _reference_poch(a, step, 1500, 1500)
+    assert poch_infinite(Q, 1, 1500) == euler_qinf(1500)
+    # any other parameter keeps the factor loop
+    for a in (Monomial(2, 1), Monomial(-3, 2)):
+        for step in (1, 3):
+            for order in (49, 97):
+                assert poch_infinite(a, step, order) == _reference_poch(a, step, order, order)
+
+
+def test_log_derivative_solver_raises_on_a_remainder():
+    # 2 P_2 = L_2 + L_1 P_1 = 1 in a plain block, and 60 P_60 = L_60 P_0 = 1
+    # with L_60 P_0 added by the halves' product: no integer P solves either
+    node = dsl.parse("poch(q;1;inf)")
+    for logd in ([0, 0, 1], [0] * 60 + [1] + [0] * 39):
+        with pytest.raises(ArithmeticError, match="is not a multiple of") as info:
+            qobjects._from_log_derivative(logd)
+        assert not isinstance(info.value, ValueError)
+        # an internal error, which the expression language does not report
+        # as the user's mistake
+        with pytest.raises(ArithmeticError) as info:
+            dsl._guarded(node, qobjects._from_log_derivative, logd)
+        assert not isinstance(info.value, dsl.DslEvalError)
 
 
 def test_euler_product_identity():
