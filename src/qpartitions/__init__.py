@@ -5,8 +5,8 @@ The package is organized around one value type and three layers:
 - :mod:`~qpartitions.series` / :mod:`~qpartitions.qobjects`: truncated
   Laurent series over the integers and the q-Pochhammer / Gaussian-binomial
   primitives built on them;
-- :mod:`~qpartitions.enumeration`: brute-force generators and counters for
-  restricted partitions, overpartitions, and regular partitions;
+- :mod:`~qpartitions.enumeration`: brute-force counters for restricted
+  partitions, overpartitions, and regular partitions;
 - :mod:`~qpartitions.closed_forms` / :mod:`~qpartitions.identities`: the
   closed-form generating functions, the identity catalog, and the
   verification engine comparing closed forms against enumeration;
@@ -35,7 +35,6 @@ _EXPORTS = {
     "enumeration": (
         "Overpartition",
         "Partition",
-        "PartitionFilter",
         "count_Q",
         "count_a",
         "count_a_diff",
@@ -51,8 +50,6 @@ _EXPORTS = {
         "count_pbar",
         "count_pbar_diff",
         "count_ubar",
-        "gen_overpartitions",
-        "gen_partitions",
     ),
     "closed_forms": (
         "a2_via_p",

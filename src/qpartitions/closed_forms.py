@@ -26,7 +26,6 @@ from .qobjects import (
     poch_finite_window,
     poch_infinite,
 )
-from .record import FrozenRecord
 from .series import LaurentSeries, _div_binomial_list
 
 _Q = Monomial.q()
@@ -91,26 +90,13 @@ def aG1_via_p(m: int, n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-class BracketPolynomial(FrozenRecord):
-    """The alternating Laurent polynomial multiplying 1/(q;q)_inf.
-
-    series equals 1 + sum_{k=1}^{m-1} (-1)^k prod_{i=0}^{k-1}
-    (q^{-(m-1-i)} - 1); its exponents lie in [-m(m-1)/2, 0].
-    """
-
-    __match_args__ = ("m", "series")
-
-    def __init__(self, m: int, series: LaurentSeries) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "series", series)
-
-
 @lru_cache(maxsize=None)
-def bracket_polynomial(m: int) -> BracketPolynomial:
-    """Exact bracket polynomial for a given multiplicity bound m >= 2.
+def bracket_polynomial(m: int) -> LaurentSeries:
+    """The exact Laurent polynomial multiplying 1/(q;q)_inf, for m >= 2.
 
-    Term k is term k - 1 times the exact (q^-(m-k) - 1), and the terms are
-    summed with alternating signs.
+    It equals 1 + sum_{k=1}^{m-1} (-1)^k prod_{i=0}^{k-1} (q^{-(m-1-i)} - 1),
+    with exponents in [-m(m-1)/2, 0].  Term k is term k - 1 times the exact
+    (q^-(m-k) - 1), and the terms are summed with alternating signs.
     """
     if m < 2:
         raise ValueError("requires m >= 2")
@@ -118,7 +104,7 @@ def bracket_polynomial(m: int) -> BracketPolynomial:
     for k in range(1, m):
         term = term.mul(LaurentSeries.polynomial((1,) + (0,) * (m - k - 1) + (-1,), k - m))
         total = total.sub(term) if k % 2 else total.add(term)
-    return BracketPolynomial(m, total)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +150,7 @@ def _full_bracket_quotient(m: int, order: int) -> LaurentSeries:
         raise ValueError("requires m >= 2 and order >= 1")
     depth = m * (m - 1) // 2
     qinv = euler_qinf(order + depth).inverse(order + depth)
-    return bracket_polynomial(m).series.mul(qinv)
+    return bracket_polynomial(m).mul(qinv)
 
 
 def gf_a_m_thm(m: int, order: int) -> LaurentSeries:

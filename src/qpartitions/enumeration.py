@@ -1,8 +1,4 @@
-"""Brute-force partition generators and counters: the ground-truth oracles.
-
-Partitions are tuples of parts in non-increasing order; overpartitions are
-tuples of ``(value, overlined)`` pairs, values non-increasing with the
-overlined copy listed first among equal values.
+"""Brute-force partition counters: the ground-truth oracles.
 
 The counting functions enumerate run-encoded partitions (distinct value,
 multiplicity) and tally histograms keyed by the multiplicity of the
@@ -42,9 +38,11 @@ n = 0, and ``count_Q`` is 1 at target 0 under ``at_least``.
 The u-bar counts are swept by a stack walk of their own.  An overpartition
 is a base partition plus a choice of overlined runs (at most one overline
 per value), so weighting each base partition by how many choices satisfy
-the side conditions of ``is_ubar_counted`` counts every u-bar
-overpartition exactly once, and each counted base partition is still
-tallied once.  For runs v1 > ... > vr with multiplicities c1 ... cr:
+the u-bar side conditions (no plain 1; an overlined smallest part whose
+value occurs once; the top two values equal, or consecutive with the second
+part overlined) counts every u-bar overpartition exactly once, and each
+counted base partition is still tallied once.  For runs v1 > ... > vr with
+multiplicities c1 ... cr:
 
 - the smallest part must be overlined and alone, so only r >= 2 and
   cr = 1 count, with run r overlined; every other run has a value above
@@ -62,63 +60,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .record import FrozenRecord
-
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
-
-
-class PartitionFilter(FrozenRecord):
-    """Composable restrictions on generated partitions.
-
-    min_part: every part at least this value.
-    smallest_mult_min: the smallest part occurs at least this many times.
-    exact_diff: largest part minus smallest part equals this value.
-    excluded_modulus: no part divisible by this modulus (>= 2).
-
-    The empty partition (n = 0) passes min_part and modulus vacuously but
-    fails exact_diff and smallest_mult_min, which need a smallest part.
-    """
-
-    __match_args__ = ("min_part", "smallest_mult_min", "exact_diff", "excluded_modulus")
-
-    def __init__(self, min_part: int | None = None, smallest_mult_min: int | None = None,
-                 exact_diff: int | None = None, excluded_modulus: int | None = None) -> None:
-        object.__setattr__(self, "min_part", min_part)
-        object.__setattr__(self, "smallest_mult_min", smallest_mult_min)
-        object.__setattr__(self, "exact_diff", exact_diff)
-        object.__setattr__(self, "excluded_modulus", excluded_modulus)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.min_part is not None and self.min_part < 1:
-            raise ValueError("min_part must be positive")
-        if self.smallest_mult_min is not None and self.smallest_mult_min < 1:
-            raise ValueError("smallest_mult_min must be positive")
-        if self.exact_diff is not None and self.exact_diff < 0:
-            raise ValueError("exact_diff must be non-negative")
-        if self.excluded_modulus is not None and self.excluded_modulus < 2:
-            raise ValueError("excluded_modulus must be at least 2")
-
-    def matches(self, parts: Partition) -> bool:
-        """Does a (plain) partition satisfy every constraint?"""
-        if not parts:
-            return self.exact_diff is None and self.smallest_mult_min is None
-        if self.min_part is not None and parts[-1] < self.min_part:
-            return False
-        if self.excluded_modulus is not None and any(
-            p % self.excluded_modulus == 0 for p in parts
-        ):
-            return False
-        if self.exact_diff is not None and parts[0] - parts[-1] != self.exact_diff:
-            return False
-        if self.smallest_mult_min is not None:
-            if parts.count(parts[-1]) < self.smallest_mult_min:
-                return False
-        return True
-
-
-EMPTY_FILTER = PartitionFilter()
 
 
 # ----------------------------------------------------------------------
@@ -510,29 +453,6 @@ def count_abar_diff(m: int, n: int, d: int) -> int:
     return _total(_hists.get(n, diff=d, over=True), m)
 
 
-def is_ubar_counted(parts: Overpartition) -> bool:
-    """The three side conditions selecting the u-bar overpartitions.
-
-    (1) no plain (non-overlined) part equal to 1;
-    (2) the smallest part is overlined and its value occurs only once;
-    (3) at least two parts, whose top two values are equal, or consecutive
-        with the second-greatest part overlined.
-    """
-    if len(parts) < 2:
-        return False
-    for v, ov in parts:
-        if v == 1 and not ov:
-            return False
-    sv, s_ov = parts[-1]
-    if not s_ov or (len(parts) > 1 and parts[-2][0] == sv):
-        return False
-    v0 = parts[0][0]
-    v1, ov1 = parts[1]
-    if v0 == v1:
-        return True
-    return v0 == v1 + 1 and ov1
-
-
 def count_ubar(n: int) -> int:
     """Overpartitions of n satisfying the u-bar side conditions."""
     return _hists.ubar(n)
@@ -569,109 +489,3 @@ def count_areg_diff(m: int, l: int, n: int, k: int) -> int:
     _check_mult_modulus(m, l)
     _check_diff(k)
     return _total(_hists.get(n, mod=l, diff=k), m)
-
-
-# ----------------------------------------------------------------------
-# streaming generators (decreasing lexicographic order)
-# ----------------------------------------------------------------------
-
-
-def _gen_runs(n: int, f: PartitionFilter):
-    """Yield run lists [(value, count), ...] of qualifying partitions.
-
-    Values strictly decrease along each list; partitions appear in
-    decreasing lexicographic order.  Iterative DFS with an explicit stack.
-    """
-    lo = f.min_part or 1
-    mod = f.excluded_modulus
-    t = f.exact_diff
-    mult = f.smallest_mult_min
-    if n == 0:
-        if t is None and mult is None:
-            yield []
-        return
-
-    root_floor = lo if t is None else lo + t
-
-    def first_cand(used, bound, floor):
-        rem = n - used
-        v = bound if bound < rem else rem
-        while v >= floor:
-            if not (mod and v % mod == 0):
-                return v, rem // v
-            v -= 1
-        return None
-
-    def next_cand(v, c, used, floor):
-        if c > 1:
-            return v, c - 1
-        rem = n - used
-        v -= 1
-        while v >= floor:
-            if not (mod and v % mod == 0):
-                return v, rem // v
-            v -= 1
-        return None
-
-    frames: list[tuple[int, int, int]] = []  # (v, c, used_before)
-    runs: list[tuple[int, int]] = []
-    used = 0
-    cand = first_cand(0, n, root_floor)
-    while True:
-        if cand is None:
-            if not frames:
-                return
-            v, c, used = frames.pop()
-            runs.pop()
-            floor = root_floor if not frames else (lo if t is None else runs[0][0] - t)
-            cand = next_cand(v, c, used, floor)
-            continue
-        v, c = cand
-        total = used + v * c
-        frames.append((v, c, used))
-        runs.append((v, c))
-        if total == n:
-            ok = mult is None or c >= mult
-            if ok and t is not None:
-                ok = v == runs[0][0] - t
-            if ok:
-                yield runs
-            frames.pop()
-            runs.pop()
-            floor = root_floor if not frames else (lo if t is None else runs[0][0] - t)
-            cand = next_cand(v, c, used, floor)
-        else:
-            used = total
-            floor = lo if t is None else runs[0][0] - t
-            cand = first_cand(used, v - 1, floor)
-
-
-def gen_partitions(n: int, f: PartitionFilter = EMPTY_FILTER):
-    """Yield each qualifying partition of n once, in decreasing lex order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    for runs in _gen_runs(n, f):
-        yield tuple(chain.from_iterable((v,) * c for v, c in runs))
-
-
-def gen_overpartitions(n: int, f: PartitionFilter = EMPTY_FILTER):
-    """Yield each canonical overpartition of n exactly once.
-
-    For every base partition (decreasing lex), the overline subsets are
-    emitted in binary-counter order with the largest distinct value as the
-    low bit.  Smallest-part multiplicity counts overlined and plain copies
-    of the smallest value together, so the filter acts on the base alone.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    for runs in _gen_runs(n, f):
-        d = len(runs)
-        for mask in range(1 << d):
-            parts: list[tuple[int, bool]] = []
-            for i, (v, c) in enumerate(runs):
-                if mask >> i & 1:
-                    parts.append((v, True))
-                    parts.extend(((v, False),) * (c - 1))
-                else:
-                    parts.extend(((v, False),) * c)
-            yield tuple(parts)

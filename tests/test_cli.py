@@ -271,7 +271,7 @@ def test_cold_import_skips_dataclasses_and_inspect():
 
 @pytest.mark.parametrize("argv, unused", [
     (["seq", "p", "--from", "0", "--to", "0"],
-     ["identities", "closed_forms", "dsl", "qobjects", "series"]),
+     ["identities", "closed_forms", "dsl", "qobjects", "series", "record"]),
     (["series", "1/poch(q;1;inf)", "--order", "5"],
      ["identities", "closed_forms", "enumeration"]),
 ], ids=["seq", "series"])

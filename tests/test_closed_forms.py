@@ -20,7 +20,6 @@ from qpartitions.closed_forms import (
     remark7_rhs,
 )
 from qpartitions.enumeration import (
-    PartitionFilter,
     count_a,
     count_a_diff,
     count_abar,
@@ -29,12 +28,12 @@ from qpartitions.enumeration import (
     count_p,
     count_p_fixed_diff,
     count_ubar,
-    gen_overpartitions,
 )
 from qpartitions.qobjects import Monomial, poch_finite, poch_finite_window
 from qpartitions.series import LaurentSeries
 
 from gaussian import gaussian_by_division
+from generators import gen_overpartitions
 
 
 def series_matches_counts(series, counter, upto):
@@ -78,12 +77,12 @@ def test_aG1_via_p():
 
 
 def test_bracket_polynomial():
-    b2 = bracket_polynomial(2).series
+    b2 = bracket_polynomial(2)
     assert dict(b2.terms()) == {0: 2, -1: -1}
-    b3 = bracket_polynomial(3).series
+    b3 = bracket_polynomial(3)
     assert dict(b3.terms()) == {0: 3, -1: -1, -2: -2, -3: 1}
     for m in range(2, 7):
-        bm = bracket_polynomial(m).series
+        bm = bracket_polynomial(m)
         assert bm.min_exp == -m * (m - 1) // 2
         assert bm.trunc_order == 1
 
@@ -110,7 +109,7 @@ def _reference_bracket(m):
 
 def test_bracket_polynomial_matches_dict_reference():
     for m in range(2, 13):
-        assert bracket_polynomial(m).series == _reference_bracket(m), m
+        assert bracket_polynomial(m) == _reference_bracket(m), m
 
 
 def test_gf_a_m_sum():
@@ -314,7 +313,7 @@ def test_gf_abar_m_alt_builds():
         assert gf.coeff(m) == 1
     # term by term, q^(mk) (-q^k)_inf / (q^k)_inf counts the overpartitions
     # of n - mk whose parts are all at least k, read here off the generator
-    at_least = {(k, n): sum(1 for _ in gen_overpartitions(n, PartitionFilter(min_part=k)))
+    at_least = {(k, n): sum(1 for _ in gen_overpartitions(n, min_part=k))
                 for k in range(1, 21) for n in range(21)}
     for m in (1, 2, 3):
         gf = gf_abar_m_alt(m, 21)

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from qpartitions.enumeration import (
-    PartitionFilter,
     _hists,
     _sweep_diff,
     _sweep_plain,
@@ -26,12 +25,10 @@ from qpartitions.enumeration import (
     count_pbar,
     count_pbar_diff,
     count_ubar,
-    gen_overpartitions,
-    gen_partitions,
-    is_ubar_counted,
 )
 
 from coin_change import family_hists, fixed_diff_hists
+from generators import gen_overpartitions, gen_partitions, is_ubar_counted
 
 P_KNOWN = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
            176, 231, 297, 385, 490, 627]
@@ -53,12 +50,8 @@ def test_count_p_matches_enumeration():
 def test_gen_partitions_order_and_examples():
     assert list(gen_partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(gen_partitions(0)) == [()]
-    assert list(gen_partitions(8, PartitionFilter(exact_diff=4))) == [
-        (6, 2), (5, 2, 1), (5, 1, 1, 1)
-    ]
-    assert list(gen_partitions(4, PartitionFilter(smallest_mult_min=2))) == [
-        (2, 2), (2, 1, 1), (1, 1, 1, 1)
-    ]
+    assert list(gen_partitions(8, exact_diff=4)) == [(6, 2), (5, 2, 1), (5, 1, 1, 1)]
+    assert list(gen_partitions(4, smallest_mult_min=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_gen_partitions_decreasing_lex():
@@ -69,28 +62,40 @@ def test_gen_partitions_decreasing_lex():
 
 
 def test_gen_partitions_filters_respected():
+    def matches(parts, min_part=None, smallest_mult_min=None, exact_diff=None,
+                excluded_modulus=None):
+        # each filter read off the partition itself; the empty partition has
+        # no smallest part
+        if not parts:
+            return exact_diff is None and smallest_mult_min is None
+        return ((min_part is None or parts[-1] >= min_part)
+                and (excluded_modulus is None or all(p % excluded_modulus for p in parts))
+                and (exact_diff is None or parts[0] - parts[-1] == exact_diff)
+                and (smallest_mult_min is None
+                     or parts.count(parts[-1]) >= smallest_mult_min))
+
     cases = [
-        PartitionFilter(min_part=3),
-        PartitionFilter(excluded_modulus=2),
-        PartitionFilter(exact_diff=2),
-        PartitionFilter(smallest_mult_min=3),
-        PartitionFilter(min_part=2, excluded_modulus=3, exact_diff=4),
+        {"min_part": 3},
+        {"excluded_modulus": 2},
+        {"exact_diff": 2},
+        {"smallest_mult_min": 3},
+        {"min_part": 2, "excluded_modulus": 3, "exact_diff": 4},
     ]
     for f in cases:
         for n in (0, 7, 12):
-            produced = list(gen_partitions(n, f))
-            assert all(f.matches(p) for p in produced)
+            produced = list(gen_partitions(n, **f))
+            assert all(matches(p, **f) for p in produced)
             assert all(sum(p) == n for p in produced if p)
             # exhaustive cross-check against post-filtering the full stream
-            expected = [p for p in gen_partitions(n) if f.matches(p)]
+            expected = [p for p in gen_partitions(n) if matches(p, **f)]
             assert produced == expected
 
 
 def test_empty_partition_filter_conventions():
-    assert list(gen_partitions(0, PartitionFilter(min_part=5))) == [()]
-    assert list(gen_partitions(0, PartitionFilter(excluded_modulus=2))) == [()]
-    assert list(gen_partitions(0, PartitionFilter(exact_diff=0))) == []
-    assert list(gen_partitions(0, PartitionFilter(smallest_mult_min=1))) == []
+    assert list(gen_partitions(0, min_part=5)) == [()]
+    assert list(gen_partitions(0, excluded_modulus=2)) == [()]
+    assert list(gen_partitions(0, exact_diff=0)) == []
+    assert list(gen_partitions(0, smallest_mult_min=1)) == []
 
 
 def test_count_p_fixed_diff():
@@ -160,9 +165,9 @@ def test_overpartitions_of_three():
 
 
 def test_gen_overpartitions_filters():
-    got = list(gen_overpartitions(2, PartitionFilter(smallest_mult_min=2)))
+    got = list(gen_overpartitions(2, smallest_mult_min=2))
     assert got == [((1, False), (1, False)), ((1, True), (1, False))]
-    got = list(gen_overpartitions(4, PartitionFilter(exact_diff=2)))
+    got = list(gen_overpartitions(4, exact_diff=2))
     assert sorted(got) == sorted(
         [
             ((3, False), (1, False)),
@@ -185,19 +190,14 @@ def test_count_abar_and_diffs():
     assert count_abar(2, 2) == 2
     assert count_pbar_diff(4, 2) == 4
     for n in range(11):
-        assert count_pbar_diff(8, n) == sum(
-            1 for _ in gen_overpartitions(8, PartitionFilter(exact_diff=n))
-        )
+        assert count_pbar_diff(8, n) == sum(1 for _ in gen_overpartitions(8, exact_diff=n))
     for m in (1, 2, 3):
         for n in range(1, 13):
             assert count_abar(m, n) == sum(
-                1 for _ in gen_overpartitions(n, PartitionFilter(smallest_mult_min=m))
+                1 for _ in gen_overpartitions(n, smallest_mult_min=m)
             )
             assert count_abar_diff(m, n, 2) == sum(
-                1
-                for _ in gen_overpartitions(
-                    n, PartitionFilter(smallest_mult_min=m, exact_diff=2)
-                )
+                1 for _ in gen_overpartitions(n, smallest_mult_min=m, exact_diff=2)
             )
 
 
@@ -228,11 +228,7 @@ def test_breg_counts():
         assert count_breg(2, n) == distinct
     for n in range(1, 16):
         assert count_areg_diff(2, 3, n, 2) == sum(
-            1
-            for _ in gen_partitions(
-                n,
-                PartitionFilter(smallest_mult_min=2, exact_diff=2, excluded_modulus=3),
-            )
+            1 for _ in gen_partitions(n, smallest_mult_min=2, exact_diff=2, excluded_modulus=3)
         )
 
 
@@ -242,21 +238,14 @@ def test_counters_agree_with_streams():
     for n in range(1, 19):
         for m in (1, 2, 3):
             assert count_a(m, n) == sum(
-                1 for _ in gen_partitions(n, PartitionFilter(smallest_mult_min=m))
+                1 for _ in gen_partitions(n, smallest_mult_min=m)
             )
         for t in (0, 1, 3):
-            assert count_p_fixed_diff(n, t) == sum(
-                1 for _ in gen_partitions(n, PartitionFilter(exact_diff=t))
-            )
+            assert count_p_fixed_diff(n, t) == sum(1 for _ in gen_partitions(n, exact_diff=t))
             assert count_a_diff(2, n, t) == sum(
-                1
-                for _ in gen_partitions(
-                    n, PartitionFilter(smallest_mult_min=2, exact_diff=t)
-                )
+                1 for _ in gen_partitions(n, smallest_mult_min=2, exact_diff=t)
             )
-        assert count_breg(3, n) == sum(
-            1 for _ in gen_partitions(n, PartitionFilter(excluded_modulus=3))
-        )
+        assert count_breg(3, n) == sum(1 for _ in gen_partitions(n, excluded_modulus=3))
 
 
 def test_counters_handle_small_n():
@@ -381,11 +370,10 @@ def _generated(nmax, lo, mod, over, t=None):
     # every n <= nmax by the multiplicity of the smallest part, from the
     # lexicographic generators
     gen = gen_overpartitions if over else gen_partitions
-    f = PartitionFilter(min_part=lo, excluded_modulus=mod, exact_diff=t)
     hists = []
     for n in range(nmax + 1):
         hist = Counter()
-        for parts in gen(n, f):
+        for parts in gen(n, min_part=lo, excluded_modulus=mod, exact_diff=t):
             values = [p[0] for p in parts] if over else parts
             if values:
                 hist[values.count(values[-1])] += 1

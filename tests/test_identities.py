@@ -3,14 +3,7 @@ import pytest
 from qpartitions import cli, identities
 from qpartitions import closed_forms as cf
 from qpartitions import enumeration as en
-from qpartitions.enumeration import (
-    PartitionFilter,
-    _sweep_diff,
-    _sweep_plain,
-    _sweep_ubar,
-    gen_overpartitions,
-    gen_partitions,
-)
+from qpartitions.enumeration import _sweep_diff, _sweep_plain, _sweep_ubar
 from qpartitions.identities import (
     Identity,
     UnknownIdentityError,
@@ -26,6 +19,7 @@ from qpartitions.qobjects import Monomial, poch_infinite
 from qpartitions.series import LaurentSeries, WindowError
 
 from coin_change import family_hists, fixed_diff_hists, smallest_run_hists
+from generators import gen_overpartitions, gen_partitions
 
 EXPECTED_IDS = [
     "prop1", "prop2", "prop3", "thmG1", "thm_a3", "thm_a4", "eq_am",
@@ -381,11 +375,9 @@ def test_fixed_difference_sweep_budget(record_sweeps):
     assert all(a[1] == 20 for a in bounds)
 
 
-def test_ubar_counts_sweep_without_the_generator(record_sweeps, monkeypatch, capsys):
-    def no_generator(*args, **kwargs):
-        raise AssertionError("u-bar counts must not enumerate overpartitions")
-
-    monkeypatch.setattr(en, "gen_overpartitions", no_generator)
+def test_ubar_counts_sweep_without_the_generator(record_sweeps, capsys):
+    # the package holds no overpartition generator (test_package checks
+    # that), so the u-bar counts come from one or two _sweep_ubar calls
     calls = record_sweeps()
     assert verify("over_a2").status == "verified"
     assert verify("ubar_gf").status == "verified"
@@ -583,15 +575,13 @@ def test_bijection_prop3_domain_errors():
 def test_bijection_prop3_round_trip_and_coverage():
     for m in range(2, 5):
         for n in range(1, 21):
-            sources = list(gen_partitions(n, PartitionFilter(smallest_mult_min=m)))
+            sources = list(gen_partitions(n, smallest_mult_min=m))
             images = [bijection_prop3(p, m) for p in sources]
             for src, img in zip(sources, images):
                 assert sum(img) == 2 * n
                 assert img[0] - img[-1] == n
                 assert bijection_prop3_inverse(img, m) == src
-            targets = list(
-                gen_partitions(2 * n, PartitionFilter(smallest_mult_min=m - 1, exact_diff=n))
-            )
+            targets = list(gen_partitions(2 * n, smallest_mult_min=m - 1, exact_diff=n))
             assert sorted(images) == sorted(targets)
 
 
@@ -621,12 +611,12 @@ def test_bijection_over1_domain_errors():
 
 def test_bijection_over1_exact_double_cover():
     for n in range(1, 13):
-        sources = list(gen_overpartitions(n, PartitionFilter(smallest_mult_min=2)))
+        sources = list(gen_overpartitions(n, smallest_mult_min=2))
         images = []
         for src in sources:
             plain, marked = bijection_over1(src, n)
             assert plain != marked
             images += [plain, marked]
-        targets = list(gen_overpartitions(2 * n, PartitionFilter(exact_diff=n)))
+        targets = list(gen_overpartitions(2 * n, exact_diff=n))
         assert len(images) == len(set(images))
         assert sorted(images) == sorted(targets)

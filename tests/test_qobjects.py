@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from qpartitions import dsl, identities, qobjects
-from qpartitions.enumeration import count_a, count_p, gen_partitions
+from qpartitions.enumeration import count_a, count_p
 from qpartitions.qobjects import (
     Monomial,
     PochhammerError,
@@ -21,6 +21,7 @@ from qpartitions.qobjects import (
 from qpartitions.series import LaurentSeries, NonInvertibleError, WindowError
 
 from gaussian import gaussian_by_division
+from generators import gen_partitions
 
 Q = Monomial.q()
 

@@ -7,9 +7,8 @@ construction, ``==``, ``hash``, ``repr`` or immutability shows here.
 
 import pytest
 
-from qpartitions.closed_forms import BracketPolynomial, bracket_polynomial
+from qpartitions.closed_forms import bracket_polynomial
 from qpartitions.dsl import Add, Div, IntLit, Mul, Neg, Poch, Pow, Q, Qbin, Sub, parse
-from qpartitions.enumeration import PartitionFilter
 from qpartitions.identities import Identity, VerificationReport
 from qpartitions.qobjects import Monomial
 from qpartitions.record import Record
@@ -28,8 +27,6 @@ def _points(n, incl):
 SAMPLES = {
     LaurentSeries: ((0, (1, 2), 2, False), (0, (1, 2), 2, True)),
     Monomial: ((-1, 2), (-1, 3)),
-    PartitionFilter: ((1, 2, 3, 4), (1, 2, 3, 5)),
-    BracketPolynomial: ((2, LaurentSeries(-1, (-1, 2), 1)), (3, LaurentSeries(-1, (-1, 2), 1))),
     Identity: (("x", "countwise", "s", 5, _grid, _points, None),
                ("x", "countwise", "s", 6, _grid, _points, None)),
     VerificationReport: (("x", "g", "verified", 3, [], 0.5), ("x", "g", "verified", 4, [], 0.5)),
@@ -54,19 +51,17 @@ def _leaf_classes(cls):
 
 def test_every_record_class_is_sampled():
     assert set(_leaf_classes(Record)) == set(SAMPLES)
-    assert len(SAMPLES) == 16
+    assert len(SAMPLES) == 14
 
 
 @pytest.mark.parametrize(
     "value, text",
     [
         (Monomial(-1, 2), "Monomial(coeff=-1, exp=2)"),
-        (PartitionFilter(exact_diff=4),
-         "PartitionFilter(min_part=None, smallest_mult_min=None, exact_diff=4, "
-         "excluded_modulus=None)"),
+        (LaurentSeries(0, (1, 2), 2),
+         "LaurentSeries(min_exp=0, coeffs=(1, 2), trunc_order=2, exact=False)"),
         (bracket_polynomial(2),
-         "BracketPolynomial(m=2, series=LaurentSeries(min_exp=-1, coeffs=(-1, 2), "
-         "trunc_order=1, exact=True))"),
+         "LaurentSeries(min_exp=-1, coeffs=(-1, 2), trunc_order=1, exact=True)"),
         (parse("poch(-q;1;inf)^2+1"),
          "Add(left=Pow(base=Poch(param=Monomial(coeff=-1, exp=1), step=1, length=None), "
          "exponent=2), right=IntLit(value=1))"),
@@ -120,8 +115,6 @@ def test_same_fields_different_class_are_unequal():
 
 def test_keyword_and_default_construction():
     assert Monomial(3) == Monomial(coeff=3, exp=0) == Monomial(exp=0, coeff=3)
-    assert PartitionFilter() == PartitionFilter(None, None, None, None)
-    assert PartitionFilter(excluded_modulus=3).excluded_modulus == 3
     assert LaurentSeries(min_exp=0, coeffs=(1,), trunc_order=1) == LaurentSeries(0, (1,), 1)
     assert LaurentSeries(0, (1,), 1).exact is False
     assert LaurentSeries(0, (1,), 1, exact=True) == LaurentSeries.polynomial((1,))
@@ -133,7 +126,6 @@ def test_keyword_and_default_construction():
     assert Poch(param=Monomial(1, 1), step=2, length=None).step == 2
     assert Add(left=Q(), right=IntLit(0)) == Add(Q(), IntLit(0))
     assert Pow(base=Q(), exponent=2).exponent == 2
-    assert BracketPolynomial(m=2, series=bracket_polynomial(2).series) == bracket_polynomial(2)
     with pytest.raises(TypeError):
         Monomial()
     with pytest.raises(TypeError):
@@ -181,12 +173,6 @@ def test_verification_report_is_mutable():
         (lambda: LaurentSeries(2, (), 1), WindowError, "min_exp 2 exceeds trunc_order 1"),
         (lambda: LaurentSeries(0, (1,), 2), WindowError,
          r"coefficient storage \(1\) does not match window \[0, 2\)"),
-        (lambda: PartitionFilter(min_part=0), ValueError, "min_part must be positive"),
-        (lambda: PartitionFilter(smallest_mult_min=0), ValueError,
-         "smallest_mult_min must be positive"),
-        (lambda: PartitionFilter(exact_diff=-1), ValueError, "exact_diff must be non-negative"),
-        (lambda: PartitionFilter(excluded_modulus=1), ValueError,
-         "excluded_modulus must be at least 2"),
         (lambda: VerificationReport("x", "g", "refuted", 3, [], 0.5), ValueError,
          "refuted reports must carry counterexamples"),
         (lambda: VerificationReport("x", "g", "verified", 3, [{}], 0.5), ValueError,
