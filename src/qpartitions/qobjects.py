@@ -7,11 +7,17 @@ values with exact integer coefficients.  Each q-object has one loop, on
 one coefficient list with the shared binomial list kernels of
 :mod:`qpartitions.series`, and builds a single series value at the end:
 :func:`poch_finite_window` for the finite Pochhammer products,
-``_qbin_window`` for the Gaussian binomials and ``_q_hyper_sum`` for the
-q-hypergeometric sums.  The window builders check every argument.  The
+``_qbin_window`` for the Gaussian binomials and ``_q_hyper_halves`` for
+the q-hypergeometric sums.  The window builders check every argument.  The
 exact values ``poch_finite`` and ``qbin`` (zero for b out of range) are
 their window builds on [0, degree + 1); the other builders return values
 truncated at their ``order``.
+
+A q-hypergeometric sum's k-th term depends on t = c*q**e only through
+c**k q**(ke), so ``_q_hyper_halves`` runs the term recurrence once for |c|
+and keeps the even-k and odd-k terms apart; the sums for t and -t are
+their sum and difference, and the halves are memoized so that the second
+sign costs one pass over the window.
 
 ``poch_infinite`` builds a unit parameter's product (c = +-1) from its
 logarithmic derivative, q P'/P = sum_k L_k q^k, a recurrence for P solved
@@ -260,7 +266,9 @@ def q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
     and lowers each sorted by exponent and coefficient, which leaves the
     symmetric product unchanged) and the sum is built once per normalized
     argument tuple by :func:`_q_hyper_sum`; errors are raised on every
-    call, never cached.
+    call, never cached.  The sum's even-k and odd-k terms are memoized
+    apart, per |t.coeff| (:func:`_q_hyper_halves`), so t and -t share one
+    term recurrence.
     """
     if order < 1:
         raise WindowError("order must be at least 1")
@@ -283,42 +291,55 @@ def q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _q_hyper_sum(uppers, lowers, t: Monomial, order: int) -> LaurentSeries:
-    # q_hyper_sum on checked, normalized parameters.  The term recurrence
-    # runs on one coefficient list with the shared binomial list kernels,
-    # and one series value is built at the end.  Term k is added at
-    # exponent k*t.exp, so before step k it is cut to its order - k*t.exp
-    # live coefficients; every update is causal, so the cut is exact.
+    # q_hyper_sum on checked, normalized parameters: the even-k terms plus
+    # or minus the odd-k ones, as t's coefficient is positive or negative.
     if t.is_zero():
         return LaurentSeries.one(order)
-    acc = [1] + [0] * (order - 1)
-    term = acc[:]
-    k, off = 1, t.exp
+    even, odd = _q_hyper_halves(uppers, lowers, abs(t.coeff), t.exp, order)
+    op = operator.add if t.coeff > 0 else operator.sub
+    return LaurentSeries(0, tuple(map(op, even, odd)), order)
+
+
+@lru_cache(maxsize=None)
+def _q_hyper_halves(uppers, lowers, c: int, e: int, order: int):
+    # The sum for t = c*q^e, c >= 1, split into its even-k and odd-k terms.
+    # Term k depends on t only through c^k q^(ke), so the sum for -t is the
+    # even part minus the odd part, and t and -t share one recurrence.  It
+    # runs on one coefficient list with the shared binomial list kernels.
+    # Term k is added at exponent k*e, so before step k it is cut to its
+    # order - k*e live coefficients; every update is causal, so the cut is
+    # exact.
+    even = [1] + [0] * (order - 1)
+    odd = [0] * order
+    term = even[:]
+    k, off = 1, e
     while off < order:
-        live = order - off  # a binomial (1 - c*q^e) with e >= live acts as 1
+        live = order - off  # a binomial (1 - c*q^j) with j >= live acts as 1
         del term[live:]
-        scale = t.coeff
+        scale = c
         for u in uppers:
-            e = u.exp + k - 1
-            if e == 0:
+            ue = u.exp + k - 1
+            if ue == 0:
                 scale *= 1 - u.coeff
-            elif e < live:
-                _mul_binomial_list(term, u.coeff, e)
+            elif ue < live:
+                _mul_binomial_list(term, u.coeff, ue)
         if k < live:
             _div_binomial_list(term, 1, k)
         for l in lowers:
-            e = l.exp + k - 1
-            if e == 0:  # (1 - 2), the one unit constant q_hyper_sum lets through
+            le = l.exp + k - 1
+            if le == 0:  # (1 - 2), the one unit constant q_hyper_sum lets through
                 scale = -scale
-            elif e < live:
-                _div_binomial_list(term, l.coeff, e)
+            elif le < live:
+                _div_binomial_list(term, l.coeff, le)
         if scale == 0:  # an upper (1; q)_k: this term and every later one vanish
             break
         if scale != 1:
             term = [scale * x for x in term]
-        acc[off:] = map(operator.add, acc[off:], term)
+        half = odd if k & 1 else even
+        half[off:] = map(operator.add, half[off:], term)
         k += 1
-        off += t.exp
-    return LaurentSeries(0, tuple(acc), order)
+        off += e
+    return tuple(even), tuple(odd)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,9 @@ Values are immutable; every operation returns a new series.
 Coefficient kernels work on whole tuples.  ``add`` and ``eq_to`` line both
 windows up by slicing, the structural zeros becoming a prefix pad; ``mul``
 is Kronecker substitution (:func:`_kronecker`), which packs each operand
-into one integer and multiplies once with CPython's bigint product;
+into one integer and multiplies once with CPython's bigint product (a
+slot that fits a 1, 2, 4 or 8-byte word is packed and unpacked by one
+``struct`` call per operand, a wider one byte string by byte string);
 ``inverse`` starts with a short schoolbook recurrence and continues with
 Newton steps on the same kernel.  :mod:`qpartitions.qobjects` calls the
 kernel too: an infinite product with a unit parameter is solved from its
@@ -37,6 +39,7 @@ pass reads only the old coefficients.
 from __future__ import annotations
 
 import operator
+import struct
 
 from .record import FrozenRecord
 
@@ -67,6 +70,14 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
     bits(max|b|) + bits(min(len a, len b))); one more bit for the sign keeps
     the slots from carrying into each other.  Digits are offset-binary (each
     slot holds c + 2**(w-1)), so signed coefficients unpack exactly.
+
+    A slot of at most 8 bytes is rounded up to a machine word of 1, 2, 4
+    or 8 bytes, and ``struct`` packs and unpacks the whole operand at once.
+    A packed operand holds each negative slot as its two's complement, so
+    2**w is subtracted for each slot whose sign bit is set; the product's
+    slots are offset into [0, 2**w), and flipping each slot's top bit turns
+    them back into two's complement for ``struct.unpack``.  Wider slots go
+    through one ``to_bytes`` per coefficient.
     """
     a, b = a[:n], b[:n]
     ma = max(map(abs, a), default=0)
@@ -74,6 +85,19 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
     if not ma or not mb:
         return (0,) * n
     size = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
+    if size <= 8:
+        fmt = "bhiiqqqq"[size - 1]  # the smallest word that holds the slot
+        w = struct.calcsize("<" + fmt)
+        bits = 8 * w
+        ones = int.from_bytes((b"\1" + bytes(w - 1)) * n, "little")  # 1 in every slot
+        off = ones << (bits - 1)  # 2**(bits - 1) in every slot
+
+        def pack_word(x):
+            u = int.from_bytes(struct.pack(f"<{len(x)}{fmt}", *x), "little")
+            return u - (((u >> (bits - 1)) & ones) << bits)
+
+        prod = ((pack_word(a) * pack_word(b) + off) & ((1 << (bits * n)) - 1)) ^ off
+        return struct.unpack(f"<{n}{fmt}", prod.to_bytes(w * n, "little"))
     off = 1 << (8 * size - 1)
     rep = off.to_bytes(size, "little")  # one slot holding the offset
 

@@ -343,6 +343,27 @@ def test_q_hyper_sum_memo_shares_one_value_per_normalized_key(uppers, lowers, t)
     assert q_hyper_sum((), (), zero, 40) is q_hyper_sum(uppers, lowers, zero, 40)
 
 
+@pytest.mark.parametrize(
+    "uppers, lowers",
+    [
+        ((Monomial(-1, 1), Monomial(1, 2)), (Monomial(1, 3),)),
+        # an exponent-0 upper with factor 2, and the exponent-0 lower 2
+        ((Monomial(-1, 0), Monomial(2, 1)), (Monomial(2, 0), Monomial(-1, 2))),
+        # an exponent-0 upper with factor 0: every term past k = 0 vanishes
+        ((Monomial(1, 0), Q), (Monomial(2, 0),)),
+    ],
+)
+def test_q_hyper_sum_t_and_minus_t_share_one_recurrence(uppers, lowers):
+    _clear_caches()
+    for c in (1, 2, 3):
+        for e in (1, 2, 3):
+            misses = qobjects._q_hyper_halves.cache_info().misses
+            for t in (Monomial(c, e), Monomial(-c, e)):
+                got = q_hyper_sum(uppers, lowers, t, 40)
+                assert got == _reference_q_hyper_sum(uppers, lowers, t, 40), t
+            assert qobjects._q_hyper_halves.cache_info().misses == misses + 1, (c, e)
+
+
 def test_qbin_memo_matches_pochhammer_quotient():
     _clear_caches()
     for a in range(13):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from qpartitions import series
 from qpartitions.qobjects import Monomial, poch_finite
-from qpartitions.series import LaurentSeries, NonInvertibleError, WindowError
+from qpartitions.series import LaurentSeries, NonInvertibleError, WindowError, _kronecker
 
 LS = LaurentSeries
 
@@ -318,6 +319,62 @@ def test_mul_tight_slot(sign_a, sign_b):
             prod = a.mul(b)
             assert prod.coeff(length - 1) == sign_a * sign_b * length * m * m, (k, j)
             assert prod == _ref_mul(a, b), (k, j)
+
+
+def _slot_bytes(a, b, n):
+    # the slot size _kronecker picks, by the rule in its docstring
+    a, b = a[:n], b[:n]
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    return (bits + min(len(a), len(b)).bit_length() + 8) // 8
+
+
+# (slot bytes, k, j): +-(2^k - 1) on 2^j - 1 terms.  2k + j = 8s - 1 fills
+# the s-byte slot; 2k + j = 8s - 8 fits it with one bit to spare, so a slot
+# one bit narrower is one byte narrower.  Sizes 1-8 round up to a 1, 2, 4
+# or 8-byte word; 9 is the first size on the byte path.
+_SLOT_SHAPES = [
+    (1, 2, 3), (2, 5, 5), (2, 3, 2), (3, 8, 7), (3, 6, 4), (4, 12, 7), (4, 10, 4),
+    (5, 16, 7), (5, 14, 4), (6, 20, 7), (6, 18, 4), (7, 24, 7), (7, 22, 4),
+    (8, 28, 7), (8, 26, 4), (9, 32, 7), (9, 30, 4),
+]
+
+
+@pytest.mark.parametrize("size, k, j", _SLOT_SHAPES)
+def test_mul_word_slot_boundaries(size, k, j):
+    m, length = 2**k - 1, 2**j - 1
+    for sign_a in (1, -1):
+        for sign_b in (1, -1):
+            a = (sign_a * m,) * (length + 4)
+            b = (sign_b * m,) * (length + 6)
+            # n shorter than either operand: the slot sees length terms
+            assert _slot_bytes(a, b, length) == size
+            prod = _kronecker(a, b, length)
+            assert prod[length - 1] == sign_a * sign_b * length * m * m
+            ref = _ref_mul(LS(0, a, len(a)), LS(0, b, len(b)))
+            assert prod == ref.coeffs[:length], (sign_a, sign_b)
+            assert LS(0, a, len(a)).mul(LS(0, b, len(b))) == ref
+    # mixed signs in one operand, and an all-zero operand
+    mixed = tuple(m if i % 3 else -m for i in range(length + 4))
+    b = (-m,) * (length + 6)
+    assert _kronecker(mixed, b, length) == _ref_mul(LS(0, mixed, len(mixed)),
+                                                    LS(0, b, len(b))).coeffs[:length]
+    assert _kronecker((0,) * (length + 4), b, length) == (0,) * length
+
+
+@pytest.mark.parametrize("u0", [1, -1])
+def test_inverse_newton_steps_cross_from_word_to_byte_slots(monkeypatch, u0):
+    sizes = []
+    kronecker = series._kronecker
+
+    def recording(a, b, n):
+        sizes.append(_slot_bytes(a, b, n))
+        return kronecker(a, b, n)
+
+    monkeypatch.setattr(series, "_kronecker", recording)
+    coeffs = (u0, 2, -1, 3) + (0,) * 200
+    inv = LS(0, coeffs, len(coeffs)).inverse(200)
+    assert list(inv.coeffs) == _ref_inverse(coeffs, 200)
+    assert min(sizes) <= 8 < max(sizes), sizes
 
 
 def test_kernels_zero_and_disjoint_windows():
