@@ -13,12 +13,14 @@ table, slot n * R + k for the partitions of n whose smallest part occurs k
 times, and lists once per floor, for each prefix sum s, the slots that the
 closing runs of a prefix summing to s fill.  The plain, fixed-difference
 and (2d, d) family sweeps differ only in these lists; a family prefix
-closes into every d it fits.  The walk takes the floor's two least middle
-values out of its prefixes, except under ``over``: it extends the lists
-per floor to ending lists, one slot per ending (c >= 0 runs of each taken
-value, then the closing runs), makes only the prefixes of larger values,
-and closes each one once, as it pops it, by one bare ``for i in
-ends[s]`` loop.
+closes into every d it fits.  The walk takes the floor's three least middle
+values out of its prefixes: it extends the lists per floor to ending
+lists, one slot per ending (c >= 0 runs of each taken value, then the
+closing runs), built only at the prefix sums that the larger values reach
+(exact bitset masks), makes only the prefixes of those larger values, and
+closes each one once, as it pops it, by one bare ``for i in ends[s]``
+loop.  Under ``over`` each ending list is split by the number j of
+taken-value runs it adds, and closes with its prefix's weight times 2^j.
 What a sweep tallies is set by its key and bound, not by the exact reads:
 every sweep covers each n up to a bound, which a caller reading a range
 sets by asking for its largest n first.  A fixed-difference shape is a key
@@ -57,8 +59,6 @@ multiplicities c1 ... cr:
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
@@ -105,36 +105,59 @@ def _walk_prefixes(F: list[int], close: list[list[int]], f: int, cap: int, top: 
     # whose sum s is at most top closes through close[s]: its weight is
     # added at each slot listed there, one increment per partition.  The
     # empty prefix weighs w, and under over each middle run doubles it.
-    # The two least middle values end prefixes without being walked: after
-    # the step for a taken value v, ends[u] concatenates ends[u], ends[u + v],
-    # ... of the step before, so it lists one slot per ending of a prefix
-    # summing to u, c >= 0 runs of each taken value and then the closing
-    # runs.  The walk makes only the prefixes of values above lo, the larger
-    # taken value, and closes each one once, as it pops it.  Its prefixes
-    # sum to 0 or to at least the least walked value, so below that sum a
-    # step builds ends only at the multiples of the value taken after it (at
-    # 0 after the last).  Under over a run's weight depends on the runs
-    # before it, so no value is taken and ends is close itself.
-    ends = close
+    # The three least middle values end prefixes without being walked:
+    # ends[u] lists one slot per ending of a prefix summing to u, c >= 0 runs
+    # of each taken value and then the closing runs.  The lists of close grow
+    # into ends in place, one step per taken value v from the least, top-down
+    # by ends[u] += ends[u + v], which adds the endings with runs of v.  The
+    # walk makes only the prefixes of values above lo, the largest taken
+    # value, and closes each one once, as it pops it.  A step keeps ends[u]
+    # only where bit u of its mask is set and drops the rest: the sums that
+    # prefixes of the walked values reach, widened by the multiples of v and
+    # of the values taken after it (shifts v, 2v, 4v, ... <= top reach every
+    # c v <= top).  Under over an ending with j runs of taken values weighs
+    # w << j, so each ends[u] is split by j; ones[u] holds, split by j - 1,
+    # the endings with c >= 1 copies of v after a prefix summing to u.
+    values = [v for v in range(f + 1, min(cap, top + 1)) if not (mod and v % mod == 0)]
+    taken = values[:3]
+    full = (2 << top) - 1
+    need = 1
+    masks = []
+    for v in values[3:] + taken[::-1]:
+        shift = v
+        while shift <= top:
+            need |= need << shift & full
+            shift += shift
+        masks.append(need)
+    ends = [[s] for s in close] if over else close
     lo = f
-    if not over:
-        values = [v for v in range(f + 1, min(cap, top + 1)) if not (mod and v % mod == 0)][:3]
-        least = values[2] if len(values) == 3 else top + 1
-        taken = values[:2]
-        for j, v in enumerate(taken):
-            step = taken[j + 1] if j + 1 < len(taken) else top + 1
-            ends = [list(chain.from_iterable(ends[u::v])) if u >= least or u % step == 0 else ()
-                    for u in range(top + 1)]
-            lo = v
+    for k, (v, mask) in enumerate(zip(taken, masks[::-1]), 1):
+        ones = [[[]] * k] * (top + 1)
+        for u in range(top, -1, -1):
+            if not mask >> u & 1:
+                ends[u] = ()
+            elif over:
+                e = ends[u]
+                if u >= v:
+                    ones[u - v] = list(map(list.__add__, e, ones[u]))
+                ends[u] = list(map(list.__add__, e + [[]], [[]] + ones[u]))
+            elif u + v <= top:
+                ends[u] += ends[u + v]
+        lo = v
     stack = [(cap, 0, w)]
     push = stack.append
     pop = stack.pop
     while stack:
         prev, used, w = pop()
-        for i in ends[used]:
-            F[i] += w
         if over:
+            for j, e in enumerate(ends[used]):
+                wj = w << j
+                for i in e:
+                    F[i] += wj
             w += w
+        else:
+            for i in ends[used]:
+                F[i] += w
         for v in range(min(prev - 1, top - used), lo, -1):
             if mod and v % mod == 0:
                 continue
@@ -182,8 +205,8 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
     # sweep of each shape (2d, d), which also tallies every n below 2d (5.5M
     # tallies for every d <= 60 against 35.9M for d = 26 .. 60 as 35 sweeps
     # of their shapes).  As in every mode, the walk ends its prefixes with
-    # runs of the floor's two least middle values through per-sum ending
-    # lists built from close, except under over.
+    # runs of the floor's three least middle values through ending lists
+    # built from close at the prefix sums it reaches.
     w = 1 if not over else 2 if t == 0 else 4  # the largest and floor runs
     if t is None:
         D = nmax // 2

@@ -280,9 +280,14 @@ def test_gf_a_m_diff_builds_only_its_window(monkeypatch):
 
 
 def test_gf_a_m_diff_domain():
-    with pytest.raises(ValueError):
-        gf_a_m_diff(3, 3, 20)
-    with pytest.raises(ValueError):
+    # the closed form needs l >= m + 1: l = m is the boundary, and the
+    # check must refuse it before any factor is built
+    for m, l in ((3, 3), (2, 2), (4, 3), (5, 2)):
+        with pytest.raises(ValueError) as err:
+            gf_a_m_diff(m, l, 20)
+        assert str(err.value) == (f"closed form needs l >= m+1 (got m={m}, l={l}); "
+                                  "use the enumeration counters for narrower differences")
+    with pytest.raises(ValueError, match="requires difference l > 1"):
         gf_a_m_diff(1, 1, 20)
     # the closed form needs m >= 1, which is checked before l
     for m, l in ((0, 4), (-1, 4), (0, 1), (-3, 2)):

@@ -27,7 +27,7 @@ from qpartitions.enumeration import (
     count_ubar,
 )
 
-from coin_change import family_hists, fixed_diff_hists
+from coin_change import family_hists, fixed_diff_hists, smallest_run_hists
 from generators import gen_overpartitions, gen_partitions, is_ubar_counted
 
 P_KNOWN = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
@@ -460,11 +460,25 @@ def test_plain_sweep_tallies_match_generators(lo, mod, over):
         assert hists[n] == want, n
 
 
+@pytest.mark.parametrize("mod", [None, 2, 3])
+@pytest.mark.parametrize("lo", [1, 2, 3])
+def test_overline_plain_sweep_matches_coin_change(lo, mod):
+    # past the generators' reach (18 for unrestricted overpartitions), where
+    # every floor's ending lists are split by the runs of taken values
+    assert _sweep_plain(40, lo, mod, True) == smallest_run_hists(40, lo, mod, True)
+
+
 # (nmax, lo, mod): lo above nmax; nmax 0, 1 and lo; lo a multiple of mod,
-# so that the least allowed value is lo + 1; and wider shapes with lo > 1
+# so that the least allowed value is lo + 1; and wider shapes with lo > 1.
+# Then shapes whose deepest floor lo has exactly 0 to 4 allowed middle values
+# (0 to 3 are all taken into the ending lists; 4 leaves one walked value,
+# equal to the largest prefix sum), and shapes where mod removes the first,
+# the second, the third, or the first and third of lo's three least values.
 EDGE_SHAPES = [(3, 5, None), (4, 6, 3), (0, 1, None), (1, 1, None), (0, 3, 2),
                (1, 2, None), (3, 3, None), (4, 4, 2), (6, 6, 3), (20, 4, 2),
-               (20, 6, 3), (24, 2, 2), (18, 2, None), (20, 3, 4)]
+               (20, 6, 3), (24, 2, 2), (18, 2, None), (20, 3, 4),
+               (8, 4, None), (9, 4, None), (10, 4, None), (11, 4, None), (12, 4, None),
+               (14, 5, 3), (13, 4, 3), (15, 5, 4), (15, 5, 2)]
 
 
 @pytest.mark.parametrize("over", [False, True])
@@ -508,13 +522,13 @@ def test_family_diff_row_matches_recorded():
 
 # (nmax, t, lo, mod, over): the row shapes `seq p_diff` and `seq a_diff`
 # read, then shapes with overlines, a modulus or lo > 1 at the same scale;
-# last, t <= 3 without overlines, which leaves at most two middle values per
-# floor, so the walk takes every one into its ending lists
+# last, t <= 4 without overlines, which leaves at most three middle values
+# per floor, so the walk takes every one into its ending lists
 @pytest.mark.parametrize("args", [(66, 20, 1, None, False), (62, 15, 1, None, False),
                                   (60, 7, 2, None, True), (56, 9, 1, 3, True),
                                   (60, 12, 2, 4, False), (50, 6, 1, None, True)]
                          + [(60, t, lo, mod, False) for lo, mod in ((1, 2), (1, 3), (2, None), (2, 3))
-                            for t in (1, 2, 3)], ids=str)
+                            for t in (1, 2, 3, 4)], ids=str)
 def test_range_diff_matches_exact_target_at_every_n(args):
     # against the coin-change count of each target n
     nmax = args[0]
