@@ -1,8 +1,11 @@
 """Command-line front end: sequences, identity verification, expressions.
 
 Exit codes: 0 success (all verified), 1 an identity refuted, 2 usage or
-evaluation error.  JSON output renders counts as decimal strings so
-arbitrary-precision values survive any consumer.
+evaluation error (or an identity skipped), 3 a fault while an identity's
+grid ran (its report has status ``error``; ``verify all`` goes on to the
+next identity).  The largest code of a run wins.  JSON output renders
+counts as decimal strings so arbitrary-precision values survive any
+consumer.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ ENV_ORDER = "QPARTITIONS_ORDER"
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
+EXIT_FAULT = 3
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +155,8 @@ def _cmd_verify(args) -> int:
             exit_code = max(exit_code, EXIT_REFUTED)
         elif report.status == "skipped":
             exit_code = max(exit_code, EXIT_USAGE)
+        elif report.status == "error":
+            exit_code = max(exit_code, EXIT_FAULT)
     return exit_code
 
 

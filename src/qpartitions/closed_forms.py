@@ -6,9 +6,10 @@ counts the identities harness compares them against.  All k/t summations
 truncate once the summand's lowest exponent leaves the window, which is
 sound because those exponents increase monotonically in the summation
 index.  :func:`gf_a_m_sum` evaluates its k-sum from the inside out
-(Horner form) on one coefficient list: each term costs one sparse add and
-one call of the binomial divide kernel of :mod:`qpartitions.series`, with
-no dense multiply, and one series value is built at the end.
+(Horner form) on one coefficient list: each term costs one sparse add,
+read from a table of subsets built once per call, and one call of the
+binomial divide kernel of :mod:`qpartitions.series`, with no dense
+multiply, and one series value is built at the end.
 :func:`gf_a_m_diff` builds every factor, its Gaussian binomials included,
 on the window that its result reads, never the exact polynomials.
 """
@@ -116,26 +117,28 @@ def gf_a_m_sum(m: int, order: int) -> LaurentSeries:
     q^m P_0 + [q^(m+1) P_1 + [q^(m+2) P_2 + ...]/(1-q^(m+2))]/(1-q^(m+1)).
     One coefficient list holds the bracket that starts at exponent k+m, on
     [k+m, order): each step puts one 0 in front of it (the factor q), adds
-    the sparse P_k (at most 2^(m-1) terms; terms and factors past the live
-    window are dropped) and divides once by (1 - q^(k+m)).  The division of
-    the innermost bracket by (q)_m comes last.  Every step is causal, so
-    the cut to the window is exact; one series value is built at the end.
+    the sparse P_k and divides once by (1 - q^(k+m)).  P_k is the sum over
+    the subsets S of {1..m-1} of (-1)^|S| q^(|S| k + sum S), so one table,
+    built once, that maps (|S|, sum S) to (-1)^|S| times the number of such
+    S gives every P_k; its terms past the live window are dropped.  The
+    division of the innermost bracket by (q)_m comes last.  Every step is
+    causal, so the cut to the window is exact; one series value is built at
+    the end.
     """
     if m < 1 or order < 1:
         raise ValueError("requires m >= 1 and order >= 1")
+    subsets = {(0, 0): 1}  # (|S|, sum S) -> (-1)^|S| times the number of such S
+    for i in range(1, m):
+        for (size, total), c in list(subsets.items()):
+            subsets[size + 1, total + i] = subsets.get((size + 1, total + i), 0) - c
     acc: list[int] = []  # the bracket starting at q^(k+m), on [k+m, order)
     for k in range(order - m - 1, -1, -1):
         acc.insert(0, 0)
         live = len(acc)
-        poly = {0: 1}  # P_k, cut to the live window
-        for e in range(k + 1, min(k + m, live)):
-            nxt = dict(poly)
-            for x, c in poly.items():
-                if x + e < live:
-                    nxt[x + e] = nxt.get(x + e, 0) - c
-            poly = nxt
-        for x, c in poly.items():
-            acc[x] += c
+        for (size, total), c in subsets.items():
+            x = size * k + total
+            if x < live:
+                acc[x] += c
         if k:
             _div_binomial_list(acc, 1, k + m)
     for i in range(1, m + 1):

@@ -24,7 +24,7 @@ from . import closed_forms as cf
 from . import enumeration as en
 from .qobjects import Monomial, poch_infinite, q_hyper_sum, qbinomial_theorem_lhs_rhs
 from .record import FrozenRecord, Record
-from .series import LaurentSeries, SeriesError
+from .series import LaurentSeries
 
 _MONOS = (
     Monomial.zero(),
@@ -78,7 +78,8 @@ class Identity(FrozenRecord):
 class VerificationReport(Record):
     """Machine-readable outcome of checking one identity over a grid.
 
-    ``status`` is ``"verified"``, ``"refuted"`` or ``"skipped"``.
+    ``status`` is ``"verified"``, ``"refuted"``, ``"skipped"`` or
+    ``"error"`` (a fault while the grid ran; ``reason`` names it).
     """
 
     __match_args__ = ("identity", "grid", "status", "points", "counterexamples",
@@ -461,10 +462,12 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
     serieswise one, else the entry's default.  Grid evaluation is
     deterministic; mismatches are collected in grid order.  An override the
     identity cannot honor (a negative ``to`` for a countwise entry, an
-    ``order`` below 1 for a serieswise one, or a window the series layer
-    rejects) comes back as a skipped report over the default grid; any
-    other error is a fault and propagates.  A grid with no points checks
-    nothing, so it too is skipped, reported over the requested grid.
+    ``order`` below 1 for a serieswise one) comes back as a skipped report
+    over the default grid.  Every bound is checked before the grid runs, so
+    any exception raised while it runs is a fault, never a verdict: it comes
+    back as an ``error`` report over the requested grid, whose reason is the
+    exception's type and text.  A grid with no points checks nothing, so it
+    is skipped, reported over the requested grid.
     """
     ident = get_identity(identity_id)
     start = time.perf_counter()
@@ -490,8 +493,8 @@ def verify(identity_id: str, *, to: int | None = None, order: int | None = None,
             points, ces = _count_grid(ident.points(bound, incl), *ident.sides(bound))
         else:
             points, ces = _series_grid(ident.points(bound, incl))
-    except SeriesError as exc:
-        return report("skipped", ident.bound, reason=str(exc))
+    except Exception as exc:
+        return report("error", bound, reason=f"{type(exc).__name__}: {exc}")
     if not points:
         return report("skipped", bound, reason="the grid has no points")
     return report("refuted" if ces else "verified", bound, points, ces)

@@ -15,12 +15,16 @@ windows up by slicing, the structural zeros becoming a prefix pad; ``mul``
 is Kronecker substitution (:func:`_kronecker`), which packs each operand
 into one integer and multiplies once with CPython's bigint product (a
 slot that fits a 1, 2, 4 or 8-byte word is packed and unpacked by one
-``struct`` call per operand, a wider one byte string by byte string);
-``inverse`` starts with a short schoolbook recurrence and continues with
-Newton steps on the same kernel.  :mod:`qpartitions.qobjects` calls the
-kernel too: an infinite product with a unit parameter is solved from its
-logarithmic derivative by halves, and one Kronecker product adds each lower
-half's share of the recurrence to its upper half.  Every result is exact.
+``struct`` call per operand, a wider one byte string by byte string).  An
+operand with fewer than one nonzero in ``_SPARSE_RATIO`` coefficients,
+such as the pentagonal (q;q)_inf or a slice of it, is not packed: the
+product is the sum of the other packed operand shifted once per nonzero
+term, and it unpacks as before.  ``inverse`` starts with a short
+schoolbook recurrence and continues with Newton steps on the same kernel.
+:mod:`qpartitions.qobjects` calls the kernel too: an infinite product with
+a unit parameter is solved from its logarithmic derivative by halves, and
+one Kronecker product adds each lower half's share of the recurrence to
+its upper half.  Every result is exact.
 
 The binomial kernels are in-place list kernels shared by the
 ``mul_binomial``/``div_binomial`` methods and by :mod:`qpartitions.qobjects`,
@@ -30,16 +34,20 @@ end; ``closed_forms.gf_a_m_sum`` runs its nested k-sum on the divide
 kernel alone.  :func:`_mul_binomial_list` is one pass
 over two aligned slices (a ``map`` of ``operator.sub`` or ``operator.add``
 for c = 1 or -1, the factors of (q)_n and (-q)_n, and a list
-comprehension for any other c), and :func:`_div_binomial_list` stays a
-running loop, since each coefficient needs the one j places before it.
-The slice assignment consumes the whole ``map`` before it writes, so the
-pass reads only the old coefficients.
+comprehension for any other c).  The slice assignment consumes the whole
+``map`` before it writes, so the pass reads only the old coefficients.
+:func:`_div_binomial_list` is a running loop, since each coefficient needs
+the new one j places before it.  It too has three passes: ``x[i] +=
+x[i - j]`` for c = 1, which is most calls ((q)_k in ``q_hyper_sum``, each
+step of ``gf_a_m_sum``, the Gaussian binomials), ``x[i] -= x[i - j]`` for
+c = -1, and ``x[i] += c * x[i - j]`` for any other c.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
+from itertools import compress
 
 from .record import FrozenRecord
 
@@ -60,6 +68,10 @@ class NonInvertibleError(SeriesError):
 # Newton steps take over.
 _NEWTON_BASE = 32
 
+# A product operand with fewer than one nonzero coefficient in this many is
+# added as shifted copies of the other operand (see _packed_product).
+_SPARSE_RATIO = 12
+
 
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The first ``n`` coefficients of the product of polynomials a and b.
@@ -78,6 +90,9 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
     slots are offset into [0, 2**w), and flipping each slot's top bit turns
     them back into two's complement for ``struct.unpack``.  Wider slots go
     through one ``to_bytes`` per coefficient.
+
+    Both paths form the same integer product with :func:`_packed_product`,
+    which adds a sparse operand as shifted copies of the other.
     """
     a, b = a[:n], b[:n]
     ma = max(map(abs, a), default=0)
@@ -96,7 +111,8 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
             u = int.from_bytes(struct.pack(f"<{len(x)}{fmt}", *x), "little")
             return u - (((u >> (bits - 1)) & ones) << bits)
 
-        prod = ((pack_word(a) * pack_word(b) + off) & ((1 << (bits * n)) - 1)) ^ off
+        prod = _packed_product(a, b, pack_word, bits)
+        prod = ((prod + off) & ((1 << (bits * n)) - 1)) ^ off
         return struct.unpack(f"<{n}{fmt}", prod.to_bytes(w * n, "little"))
     off = 1 << (8 * size - 1)
     rep = off.to_bytes(size, "little")  # one slot holding the offset
@@ -105,11 +121,33 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...
         digits = b"".join([(c + off).to_bytes(size, "little") for c in x])
         return int.from_bytes(digits, "little") - int.from_bytes(rep * len(x), "little")
 
-    prod = pack(a) * pack(b) + int.from_bytes(rep * n, "little")
+    prod = _packed_product(a, b, pack, 8 * size) + int.from_bytes(rep * n, "little")
     width = size * n
     buf = (prod & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
     from_bytes = int.from_bytes
     return tuple([from_bytes(buf[i : i + size], "little") - off for i in range(0, width, size)])
+
+
+def _packed_product(a, b, pack, bits: int) -> int:
+    """pack(a) * pack(b) for operands packed ``bits`` to a slot.
+
+    When the operand with fewer nonzeros has fewer than one in
+    ``_SPARSE_RATIO`` coefficients, the product is the sum of its terms
+    c * pack(other) * 2**(bits * i), one shifted add each (pack(other) is
+    negated once for every c = -1), in place of one dense product.
+    """
+    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    if nonzero_b < nonzero_a:
+        a, b, nonzero_a = b, a, nonzero_b
+    if nonzero_a * _SPARSE_RATIO >= len(a):
+        return pack(a) * pack(b)
+    pb = pack(b)
+    nb = -pb
+    prod = 0
+    for i in compress(range(len(a)), a):  # the exponents of a's nonzero terms
+        c = a[i]
+        prod += (pb if c == 1 else nb if c == -1 else c * pb) << bits * i
+    return prod
 
 
 def _mul_binomial_list(x: list[int], c: int, j: int) -> None:
@@ -124,8 +162,15 @@ def _mul_binomial_list(x: list[int], c: int, j: int) -> None:
 
 def _div_binomial_list(x: list[int], c: int, j: int) -> None:
     """Divide the coefficient list x by (1 - c*q**j) in place, j >= 1."""
-    for i in range(j, len(x)):
-        x[i] += c * x[i - j]
+    if c == 1:
+        for i in range(j, len(x)):
+            x[i] += x[i - j]
+    elif c == -1:
+        for i in range(j, len(x)):
+            x[i] -= x[i - j]
+    else:
+        for i in range(j, len(x)):
+            x[i] += c * x[i - j]
 
 
 class LaurentSeries(FrozenRecord):

@@ -8,6 +8,7 @@ import pytest
 
 from qpartitions import enumeration as en
 from qpartitions.cli import main
+from qpartitions.series import WindowError
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,34 @@ def test_verify_all_on_empty_grids_is_skipped(capsys):
     assert not [r["identity"] for r in reports if r["status"] == "verified" and not r["points"]]
     remark7 = next(r for r in reports if r["identity"] == "remark7")
     assert (remark7["status"], remark7["reason"]) == ("skipped", "the grid has no points")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (WindowError("exponent 59 outside known window [1, 59)"),
+     "WindowError: exponent 59 outside known window [1, 59)"),
+    (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+], ids=["window", "zero-division"])
+def test_verify_fault_exits_3_and_all_goes_on(capsys, monkeypatch, fault, reason):
+    # a fault is neither a refutation (1) nor a skip (2), and the entries
+    # after it are still checked and reported
+    from qpartitions import identities
+
+    def points(bound, incl):
+        raise fault
+        yield
+
+    stub = identities.Identity("stub", "countwise", "s", 5, lambda bound, incl: f"n <= {bound}",
+                               points, lambda bound: (None, None))
+    monkeypatch.setattr(identities, "_REGISTRY", [stub, identities.get_identity("remark7")])
+    code, out, _ = run_cli(capsys, "verify", "all", "--to", "6", "--format", "json")
+    assert code == 3  # the largest code wins over remark7's refutation
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["identity"], r["status"], r["points"], r["reason"]) for r in reports] == [
+        ("stub", "error", 0, reason), ("remark7", "refuted", 6, "")]
+    assert reports[0]["grid"] == "n <= 6" and reports[0]["counterexamples"] == []
+    code, out, _ = run_cli(capsys, "verify", "stub", "--to", "4")
+    assert code == 3
+    assert out.startswith("stub: error (0 points, ") and out.endswith(f"s) [{reason}]\n")
 
 
 DATA = Path(__file__).parent / "data"

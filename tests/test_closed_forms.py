@@ -159,6 +159,14 @@ def test_gf_a_m_sum_matches_series_valued_reference():
             assert gf_a_m_sum(m, order) == _reference_gf_a_m_sum(m, order), (m, order)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gf_a_m_sum_subset_table_matches_reference(m):
+    # P_k from the table of subsets of {1..m-1}: the first orders, where the
+    # live window cuts most of its terms, and a wide one
+    for order in (*range(max(m - 1, 1), m + 4), 300):
+        assert gf_a_m_sum(m, order) == _reference_gf_a_m_sum(m, order), (m, order)
+
+
 @pytest.mark.parametrize("m, order", [(0, 10), (-1, 10), (3, 0), (3, -5), (0, 0)])
 def test_gf_a_m_sum_errors_match_reference(m, order):
     with pytest.raises(ValueError) as want:

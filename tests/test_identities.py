@@ -161,16 +161,49 @@ def test_empty_grid_is_skipped_over_the_requested_grid():
     assert verify("reg_div", to=2).status == "verified"
 
 
-def test_verify_propagates_runner_faults(monkeypatch):
+def test_verify_reports_runner_faults_as_errors(monkeypatch):
     # a fault inside a counter is not an impossible override: it must
-    # surface instead of turning into a skipped report
+    # surface as an error report, never as a skipped or refuted one
     def broken(*args):
         raise ValueError("sweep fault")
 
     monkeypatch.setattr(en, "_sweep_plain", broken)
     en._hists.clear()
-    with pytest.raises(ValueError, match="sweep fault"):
-        verify("thmG1")
+    r = verify("thmG1")
+    assert (r.status, r.points, r.counterexamples) == ("error", 0, [])
+    assert r.reason == "ValueError: sweep fault"
+    assert r.grid == DEFAULT_GRIDS["thmG1"]
+
+
+def _faulty_stub(identity_id, kind, fault):
+    # an entry whose grid checks one good point, then raises the fault
+    def points(bound, incl):
+        yield {"n": 1} if kind == "countwise" else ({}, _poly([1]), _poly([1]), range(1))
+        raise fault
+
+    return Identity(identity_id, kind, "s", 5, lambda bound, incl: f"n <= {bound}", points,
+                    lambda bound: (lambda n: n, lambda n: n))
+
+
+FAULTS = {
+    "window": (WindowError("exponent 59 outside known window [1, 59)"),
+               "WindowError: exponent 59 outside known window [1, 59)"),
+    "zero-division": (ZeroDivisionError("division by zero"),
+                      "ZeroDivisionError: division by zero"),
+}
+
+
+@pytest.mark.parametrize("kind", ["countwise", "serieswise"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_while_the_grid_runs_is_an_error_report(monkeypatch, kind, fault):
+    # a series-layer error and any other exception alike: the bounds were
+    # checked up front, so whatever the grid raises is a fault
+    fault, reason = FAULTS[fault]
+    monkeypatch.setattr(identities, "_REGISTRY", [_faulty_stub("stub", kind, fault)])
+    r = verify("stub", to=4, order=4)
+    assert (r.status, r.points, r.counterexamples, r.reason) == ("error", 0, [], reason)
+    assert r.grid == "n <= 4"  # the requested grid, which the bound checks accepted
+    assert r.to_json_dict()["status"] == "error"
 
 
 def _walk_grid(cases):
@@ -246,12 +279,12 @@ def test_series_grid_short_window_raises_the_walks_error(monkeypatch, short_side
     with pytest.raises(WindowError) as got:
         identities._series_grid(cases)
     assert str(got.value) == str(want.value) == "exponent 15 outside known window [0, 15)"
-    # through the engine: a skipped report whose reason is the walk's text
+    # through the engine: an error report whose reason is the walk's text
     stub = Identity("stub", "serieswise", "s", 20, lambda w, incl: f"below {w}",
                     lambda w, incl: iter(cases))
     monkeypatch.setattr(identities, "_REGISTRY", [stub])
     r = verify("stub")
-    assert (r.status, r.points, r.reason) == ("skipped", 0, str(want.value))
+    assert (r.status, r.points, r.reason) == ("error", 0, f"WindowError: {want.value}")
 
 
 @pytest.fixture

@@ -223,6 +223,22 @@ def test_binomial_helpers_match_mul():
                 assert a.div_binomial(c, j).mul_binomial(c, j) == a, (c, j)
 
 
+@pytest.mark.parametrize("c", [1, -1, 2, -3])
+def test_div_binomial_list_passes_match_schoolbook(c):
+    # c = 1 and c = -1 have passes of their own; every stride from 1 to the
+    # length and past it, on coefficients past 2**64
+    rng = random.Random(c)
+    for length in (0, 1, 2, 7, 30):
+        x = [rng.randint(-2**70, 2**70) for _ in range(length)]
+        for j in range(1, length + 3):
+            want = []
+            for i, v in enumerate(x):
+                want.append(v + (c * want[i - j] if i >= j else 0))
+            got = list(x)
+            series._div_binomial_list(got, c, j)
+            assert got == want, (length, j)
+
+
 # ----------------------------------------------------------------------
 # the bulk kernels against schoolbook references written out here, at sizes
 # the small random tests above never reach (Newton steps, wide slots)
@@ -359,6 +375,39 @@ def test_mul_word_slot_boundaries(size, k, j):
     assert _kronecker(mixed, b, length) == _ref_mul(LS(0, mixed, len(mixed)),
                                                     LS(0, b, len(b))).coeffs[:length]
     assert _kronecker((0,) * (length + 4), b, length) == (0,) * length
+
+
+def _sparse_operands(size, nonzero, coeff, sign_b):
+    # a sparse operand, whose nonzero terms are coeff, and a dense one of
+    # sign sign_b whose magnitude makes the product slot ``size`` bytes:
+    # bits(coeff) + bits(dense) + bits(24) + 8 = 8 * size + 7.  Both are longer
+    # than n = 24, and the sparse one has a nonzero past n.
+    n = 24
+    dense = sign_b * (2 ** (8 * size - 6 - abs(coeff).bit_length()) - 1)
+    sparse = [0] * (n + 4)
+    for i in range(nonzero):  # spread from exponent 0 to n - 1
+        sparse[(n - 1) * i // max(nonzero - 1, 1)] = coeff
+    sparse[n + 2] = coeff
+    return tuple(sparse), (dense,) * (n + 6), n
+
+
+@pytest.mark.parametrize("size", range(1, 10))  # 1-8 are word slots, 9 a byte slot
+def test_sparse_products_match_schoolbook(size):
+    # an operand with fewer than one nonzero in _SPARSE_RATIO is added as
+    # shifted copies; at the crossover and one nonzero either side of it
+    crossover = 24 // series._SPARSE_RATIO
+    coeffs = (1, -1) if size == 1 else (1, -1, 5, -5)  # +-1 and the general c
+    for nonzero in (crossover - 1, crossover, crossover + 1):
+        for coeff in coeffs:
+            for sign_b in (1, -1):
+                a, b, n = _sparse_operands(size, nonzero, coeff, sign_b)
+                assert _slot_bytes(a, b, n) == size
+                packs = []
+                series._packed_product(a[:n], b[:n], lambda x: packs.append(x) or 1, 8)
+                assert len(packs) == (1 if nonzero < crossover else 2), nonzero
+                ref = _ref_mul(LS(0, a, len(a)), LS(0, b, len(b))).coeffs[:n]
+                assert _kronecker(a, b, n) == ref, (nonzero, coeff, sign_b)
+                assert _kronecker(b, a, n) == ref, (nonzero, coeff, sign_b)
 
 
 @pytest.mark.parametrize("u0", [1, -1])
