@@ -23,12 +23,16 @@ loop.  Under ``over`` each ending list is split by the number j of
 taken-value runs it adds, and closes with its prefix's weight times 2^j.
 What a sweep tallies is set by its key and bound, not by the exact reads:
 every sweep covers each n up to a bound, which a caller reading a range
-sets by asking for its largest n first.  A fixed-difference shape is a key
-of its own; reads of (2d, d), the paper's counts of partitions of 2d with
-difference d, share one family key per (lo, mod, over) instead, swept over
-every d up to a bound, including the rows a caller skips (``reg_div``
-reads only d divisible by its modulus).  See ``_HistCache``.  ``count_p``
-alone uses the pentagonal-number recurrence.
+sets by asking for its largest n first.  The reads whose smallest part is
+at least lo >= 2 (``count_Q``, and ``count_p_star`` for m >= 2) share one
+key per (mod, over), swept one floor at a time from the top down: the
+running sum after floor k is the lo = k histogram.  A fixed-difference
+shape is a key of its own; reads of (2d, d), the paper's counts of
+partitions of 2d with difference d, share one family key per
+(lo, mod, over) instead, swept over every d up to a bound.  A family first
+read at a d divisible by its modulus (``reg_div`` reads only those) closes
+only into those rows, until a read off them sweeps it whole.  See
+``_HistCache``.  ``count_p`` alone uses the pentagonal-number recurrence.
 
 Sizes below 1 have no sweep row: no partition of n < 1 has a smallest
 part, so ``_HistCache`` answers every n < 1 with an empty histogram (a
@@ -165,26 +169,45 @@ def _walk_prefixes(F: list[int], close: list[list[int]], f: int, cap: int, top: 
                 push((v, s, w))
 
 
-def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool):
+def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool, hi: int | None = None):
     # F[n * R + k] counts the partitions of n whose smallest part f occurs
-    # k times, for every n <= nmax.  For each allowed f the walk makes every
-    # prefix of larger runs once, and close[s] lists the slots
-    # (s + k f) * R + k, k >= 1, that the runs of f fitting after a prefix
-    # summing to s fill.  Overpartitions weigh each partition by 2^runs.
-    # The flat table becomes one histogram dict per n once, at the end.
+    # k times, for every n <= nmax.  For each allowed f, lo <= f < hi
+    # (hi <= nmax + 1, or None for nmax + 1), the walk makes every prefix of
+    # larger runs once, and close[s] lists the slots (s + k f) * R + k,
+    # k >= 1, that the runs of f fitting after a prefix summing to s fill.
+    # Overpartitions weigh each partition by 2^runs.  The flat table
+    # becomes one histogram dict per n once, at the end.
     R = nmax // lo + 1
     size = (nmax + 1) * R
     F = [0] * size
-    for f in range(lo, nmax + 1):
+    for f in range(lo, hi or nmax + 1):
         if mod and f % mod == 0:
             continue
         top = nmax - f
         close = [list(range((s + f) * R + 1, size, f * R + 1)) for s in range(top + 1)]
         _walk_prefixes(F, close, f, top + 1, top, mod, 2 if over else 1, over)
-    return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} for n in range(nmax + 1)]
+    return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} if n >= lo else {}
+            for n in range(nmax + 1)]
 
 
-def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
+def _unswept_floors(nmax: int) -> list:
+    # a floors key's tables before a sweep: only floor nmax + 1, which is empty
+    return [None] * (nmax + 1) + [[{}] * (nmax + 1)]
+
+
+def _merged(h: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    if not g:
+        return h
+    if not h:
+        return g
+    h = h.copy()
+    for c, cnt in g.items():
+        h[c] = h.get(c, 0) + cnt
+    return h
+
+
+def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool,
+                stride: int = 1):
     # Partitions whose largest minus smallest part is t, for every n <= nmax,
     # in the flat table of _sweep_plain.  For each floor f the largest part
     # is a = f + t; the walk makes the prefixes of middle runs, values in
@@ -204,7 +227,8 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
     # closes into, which is why one family sweep to D costs far less than a
     # sweep of each shape (2d, d), which also tallies every n below 2d (5.5M
     # tallies for every d <= 60 against 35.9M for d = 26 .. 60 as 35 sweeps
-    # of their shapes).  As in every mode, the walk ends its prefixes with
+    # of their shapes).  A stride family closes only into the rows whose d
+    # stride divides.  As in every mode, the walk ends its prefixes with
     # runs of the floor's three least middle values through ending lists
     # built from close at the prefix sums it reaches.
     w = 1 if not over else 2 if t == 0 else 4  # the largest and floor runs
@@ -217,10 +241,11 @@ def _sweep_diff(nmax: int, t: int | None, lo: int, mod: int | None, over: bool):
                 continue
             top = D - f - f
             close = [[d * R + (d - s) // f - 1 for d in range(s + f + f, D + 1, f)
-                      if not (mod and (d + f) % mod == 0)] for s in range(top + 1)]
+                      if d % stride == 0 and not (mod and (d + f) % mod == 0)]
+                     for s in range(top + 1)]
             _walk_prefixes(F, close, f, top + 1, top, mod, w, over)
         H = [{} for _ in range(nmax + 1)]
-        for d in range(1, D + 1):
+        for d in range(stride, D + 1, stride):
             H[d + d] = {k: cnt for k, cnt in enumerate(F[d * R:d * R + R]) if cnt}
         return H
     R = nmax // lo + 1
@@ -297,16 +322,26 @@ class _HistCache:
       asks for ascending n would otherwise sweep once per n.  Callers that
       read a range therefore ask for its largest n first, so that one sweep
       serves the whole range.
-    - Plain keys are ``(lo, mod, over)``; a fixed-difference shape is
+    - Plain keys are ``(1, mod, over)``; a fixed-difference shape is
       ``(lo, mod, diff, over)``, so a reader of a whole row (``seq``,
       ``thm_and``) sweeps it once.
+    - Plain reads at ``lo >= 2`` share the floors key
+      ``("lo >= 2", mod, over)``, whose entry holds the lo = k histograms
+      of each floor k swept: floor k's own sweep (``hi = k + 1``) added to
+      floor k + 1's.  A miss below the lowest floor swept sweeps only the
+      floors in between, so ``thmG1`` and then ``remark7`` sweep each
+      floor >= 2 once.  The lo = 1 key stays apart, so that ``thmG1``'s
+      two sides read different tables.
     - Reads at ``n = 2 diff`` that the shape's own entry does not cover go
       to the (2d, d) family key ``("2n, n", lo, mod, over)`` instead, one
       for every diff (``_sweep_diff`` with ``t`` None).  Every reader of
       these counts reads a whole grid of d, largest first, so ``prop2``,
       ``over1`` and each ``reg_div`` modulus make one family sweep, and
       ``remark7`` after ``prop2`` regrows it once instead of sweeping each
-      n.
+      n.  While no such entry exists, a read at ``mod | diff`` goes to
+      ``("2n, n", lo, mod, over, mod)``, a family closed only into the rows
+      ``mod | d`` (``reg_div``'s default reads); the first read off them
+      sweeps the whole family.
     - A lone read, a shape read at one size off the family, pays for the
       sizes below it too: 2 to 4 times what counting that one n alone
       cost, at (59, 6), (100, 30) and (120, 40).  In the catalog only
@@ -325,13 +360,34 @@ class _HistCache:
         if n < 1:
             return {}
         if diff is None:
-            return self._swept((lo, mod, over), n, _sweep_plain, lo, mod, over)[n]
+            if lo == 1:
+                return self._swept((1, mod, over), n, _sweep_plain, 1, mod, over)[n]
+            return self._floors(n, lo, mod, over)[n]
         shape = (lo, mod, diff, over)
         entry = self._entries.get(shape)
         if n == 2 * diff and (entry is None or n > entry[0]):
-            # one key for the (2n, n) reads of every diff
-            return self._swept(("2n, n", lo, mod, over), n, _sweep_diff, None, lo, mod, over)[n]
+            # one key for the (2n, n) reads of every diff, at stride mod
+            # until a read falls off it
+            key = ("2n, n", lo, mod, over)
+            if mod and diff % mod == 0 and key not in self._entries:
+                return self._swept(key + (mod,), n, _sweep_diff, None, lo, mod, over, mod)[n]
+            return self._swept(key, n, _sweep_diff, None, lo, mod, over)[n]
         return self._swept(shape, n, _sweep_diff, diff, lo, mod, over)[n]
+
+    def _floors(self, n: int, lo: int, mod: int | None, over: bool) -> list:
+        # tables[k] is the lo = k histogram list, or None below the lowest
+        # floor swept, from which a miss walks down to lo
+        tables = self._swept(("lo >= 2", mod, over), n, _unswept_floors)
+        k = min(lo, len(tables) - 1)
+        if tables[k] is None:
+            nmax = len(tables) - 2
+            low = k + 1
+            while tables[low] is None:
+                low += 1
+            run = tables[low]
+            for f in range(low - 1, k - 1, -1):
+                run = tables[f] = list(map(_merged, run, _sweep_plain(nmax, f, mod, over, f + 1)))
+        return tables[k]
 
     def ubar(self, n: int) -> int:
         """The u-bar total of n, from a key grown like a plain one."""

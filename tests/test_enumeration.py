@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qpartitions import enumeration as en
 from qpartitions.enumeration import (
     _hists,
     _sweep_diff,
@@ -435,6 +436,31 @@ def test_family_diff_tallies_match_generators(mod, over):
 
 
 @pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [2, 3, 4, 5])
+@pytest.mark.parametrize("lo", [1, 2])
+def test_stride_family_rows_match_the_full_family(lo, mod, over):
+    # a stride-mod family holds the full family's row 2d at every mod | d
+    # and leaves the other rows empty; both against the coin-change count
+    full = family_hists(80, lo, mod, over)
+    assert _sweep_diff(80, None, lo, mod, over) == full
+    assert _sweep_diff(80, None, lo, mod, over, mod) == [
+        h if n % (2 * mod) == 0 else {} for n, h in enumerate(full)]
+
+
+@pytest.mark.parametrize("mod", [2, 3])
+def test_off_stride_family_read_is_the_full_count(mod):
+    # a read off the stride of the family swept for a first read at
+    # mod | d, then reads on the stride again, against the full family
+    full = family_hists(80, 1, mod, False)
+    _hists.clear()
+    assert _hists.get(6 * mod * 2, mod=mod, diff=6 * mod) == full[12 * mod]
+    for d in (6 * mod - 1, 6 * mod, 5 * mod, 5 * mod - 1):
+        assert _hists.get(2 * d, mod=mod, diff=d) == full[2 * d], d
+        assert count_breg_diff(mod, 2 * d, d) == sum(full[2 * d].values()), d
+    _hists.clear()
+
+
+@pytest.mark.parametrize("over", [False, True])
 @pytest.mark.parametrize("mod", [None, 2, 3, 4, 5])
 @pytest.mark.parametrize("lo", [1, 2])
 def test_family_diff_matches_exact_target_at_every_d(lo, mod, over):
@@ -458,6 +484,52 @@ def test_plain_sweep_tallies_match_generators(lo, mod, over):
     assert len(hists) == n_top + 1
     for n, want in enumerate(_generated(n_top, lo, mod, over)):
         assert hists[n] == want, n
+
+
+@lru_cache(maxsize=None)
+def _floor_oracle(mod, over):
+    # {(n, k): the lo = k histogram of n} for 2 <= k <= n <= 30, from one
+    # pass of the generators over the partitions into parts >= 2: each one
+    # joins the histogram of every k up to its smallest part
+    want = {(n, k): Counter() for n in range(31) for k in range(2, n + 1)}
+    gen = gen_overpartitions if over else gen_partitions
+    for n in range(2, 31):
+        for parts in gen(n, min_part=2, excluded_modulus=mod):
+            values = [p[0] for p in parts] if over else parts
+            for k in range(2, values[-1] + 1):
+                want[n, k][values.count(values[-1])] += 1
+    return want
+
+
+@pytest.mark.parametrize("order", ["descending k", "ascending k", "deeper n"])
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("mod", [None, 3])
+def test_floor_tables_match_generators(monkeypatch, mod, over, order):
+    # every lo >= 2 read goes to one key per (mod, over), whose floors are
+    # swept from the top down and extended downward on demand; each read
+    # order reaches the tables another way: floor by floor, all floors at
+    # once, or a second sweep from the top after a deeper n
+    want = _floor_oracle(mod, over)
+    ks = range(30, 1, -1) if order == "descending k" else range(2, 31)
+    swept = []
+
+    def spy(*args, _real=en._sweep_plain):
+        swept.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(en, "_sweep_plain", spy)
+    _hists.clear()
+    if order == "deeper n":
+        for k in ks:
+            for n in range(15, k - 1, -1):
+                assert _hists.get(n, lo=k, mod=mod, over=over) == want[n, k], (n, k)
+    for k in ks:
+        for n in range(30, k - 1, -1):
+            assert _hists.get(n, lo=k, mod=mod, over=over) == want[n, k], (n, k)
+    _hists.clear()
+    # each floor once per bound, from the top down
+    bounds = (16, 30) if order == "deeper n" else (30,)
+    assert swept == [(b, f, mod, over, f + 1) for b in bounds for f in range(b, 1, -1)]
 
 
 @pytest.mark.parametrize("mod", [None, 2, 3])

@@ -20,6 +20,7 @@ from qpartitions.series import LaurentSeries, WindowError
 
 from coin_change import family_hists, fixed_diff_hists, smallest_run_hists
 from generators import gen_overpartitions, gen_partitions
+from test_trace_hooks import _trace_child
 
 EXPECTED_IDS = [
     "prop1", "prop2", "prop3", "thmG1", "thm_a3", "thm_a4", "eq_am",
@@ -290,14 +291,18 @@ def test_series_grid_short_window_raises_the_walks_error(monkeypatch, short_side
 @pytest.fixture
 def record_sweeps(monkeypatch):
     """Start a cold cache whose sweeps are logged; tally=False records the
-    schedule alone, caching empty histograms (cleared again on teardown)."""
+    schedule alone, caching empty histograms (cleared again on teardown).
+    A results list, if given, receives each sweep's (name, result)."""
 
-    def start(tally=True):
+    def start(tally=True, results=None):
         calls = []
         for name, empty in (("_sweep_plain", {}), ("_sweep_diff", {}), ("_sweep_ubar", 0)):
             def spy(*args, _real=getattr(en, name), _name=name, _empty=empty):
                 calls.append((_name, args))
-                return _real(*args) if tally else [_empty] * (args[0] + 1)
+                result = _real(*args) if tally else [_empty] * (args[0] + 1)
+                if results is not None:
+                    results.append((_name, result))
+                return result
 
             monkeypatch.setattr(en, name, spy)
         en._hists.clear()
@@ -312,8 +317,14 @@ def test_sweep_budget(record_sweeps):
     assert verify("thmG1").status == "verified"
     plain = [args for name, args in calls if name == "_sweep_plain"]
     assert [a for a in plain if a[1:] == (1, None, False)] == [(60, 1, None, False)]
-    keys = [a[1:] for a in plain]
-    assert len(keys) == len(set(keys))  # every key (the Q_{l,k} ones too) once
+    # the Q_{l,k} reads share one key, whose sweep walks the floors from
+    # the top down once, to the deepest target n - 2l = 56 of the first
+    # read (k = 3); remark7's p*_m reads then add floor 2 alone
+    floors = [a for a in plain if a[1:] != (1, None, False)]
+    assert floors == [(56, f, None, False, f + 1) for f in range(56, 2, -1)]
+    del calls[:]
+    assert verify("remark7").status == "refuted"
+    assert [args for name, args in calls if name == "_sweep_plain"] == [(56, 2, None, False, 3)]
 
     # a grid whose last points are not its deepest still sweeps each plain
     # key once, to its depth; over_a2 and reg_a2 sweep only their left side
@@ -336,6 +347,9 @@ def test_sweep_budget(record_sweeps):
     # family key: one family sweep (t None) over every size, whose first
     # read is n = 120
     assert diffs == [(120, None, 1, None, False)]
+    # on its own, remark7 walks every floor from the top down to 2 once
+    plain = [args for name, args in calls if name == "_sweep_plain"]
+    assert plain == [(56, f, None, False, f + 1) for f in range(56, 1, -1)]
     # in catalog order prop2 has swept the family to 50 already, so remark7
     # regrows it once
     calls = record_sweeps(tally=False)
@@ -352,6 +366,46 @@ def test_sweep_budget(record_sweeps):
     [en.count_a(2, n) for n in range(1, 61)]
     bounds = [args[0] for _, args in calls]
     assert len(bounds) <= 7 and max(bounds) <= 64
+
+
+def test_lone_floor_read_sweeps_no_floor_below_it(record_sweeps, capsys):
+    # seq p_star --m 20 reads lo = 20 alone: the floors from the top down
+    # to 20, each once, which tally every partition into parts >= 20 once,
+    # as many as the lo = 20 sweep alone makes
+    results = []
+    calls = record_sweeps(results=results)
+    assert cli.main(["seq", "p_star", "--m", "20", "--from", "0", "--to", "100"]) == 0
+    assert [args for _, args in calls] == [(100, f, None, False, f + 1) for f in range(100, 19, -1)]
+    tallied = sum(sum(h.values()) for _, hists in results for h in hists)
+    assert tallied == sum(sum(h.values()) for h in _sweep_plain(100, 20, None, False))
+    capsys.readouterr()
+
+
+def test_every_sweep_returns_per_n_histograms(record_sweeps):
+    # perfbench's trace counts a sweep's tallies as the sum of the values of
+    # the histograms it returns, so every mode (plain keys, floor sweeps,
+    # ranged shapes, families and stride families) returns one
+    # dict[int, int] per n up to its bound, holding its own increments
+    results = []
+    calls = record_sweeps(results=results)
+    for identity_id in ("thmG1", "remark7", "reg_div"):
+        assert verify(identity_id).status in ("verified", "refuted")
+    assert len(results) == len(calls)
+    for (name, args), (_, result) in zip(calls, results):
+        assert type(result) is list and len(result) == args[0] + 1, (name, args)
+        for h in result:
+            assert type(h) is dict, (name, args)
+            assert all(type(c) is int and type(v) is int for c, v in h.items()), (name, args)
+    modes = {(name, len(args), args[1] is None) for name, args in calls}
+    assert modes == {("_sweep_plain", 4, False), ("_sweep_plain", 5, False),
+                     ("_sweep_diff", 5, True), ("_sweep_diff", 6, True)}
+    # the tracer's formula: the floor sweeps count each partition of
+    # n <= 56 into parts >= 2 once, p(n) - p(n - 1) of them for each n
+    tracer = _trace_child().Tracer("verify")
+    for (name, args), (_, result) in zip(calls, results):
+        if len(args) == 5 and name == "_sweep_plain":
+            tracer._after_sweep(args, {}, result)
+    assert tracer.counters["tallied"] == en.count_p(56) - en.count_p(0)
 
 
 def test_fixed_difference_sweep_budget(record_sweeps):
@@ -383,10 +437,15 @@ def test_fixed_difference_sweep_budget(record_sweeps):
         ("prop3", False, family(25, None, False)),
         ("over1", False, family(16, None, True)),
         ("over_gen", False, family(14, None, True)),
-        # l | n only: the largest n read for l = 5 is 45
-        ("reg_div", False, [a for l in (2, 3, 4) for a in family(48, l, False)]
-                           + family(45, 5, False)),
-        ("reg_div", True, [a for l in (2, 3, 4, 5) for a in family(48, l, False)]),
+        # l | n only: a family first read at l | n closes only into the
+        # rows l | n, at stride l; the largest n read for l = 5 is 45
+        ("reg_div", False, [(96, None, 1, l, False, l) for l in (2, 3, 4)]
+                           + [(90, None, 1, 5, False, 5)]),
+        # all n: 48 is on the stride of l = 2, 3, 4, and the read at 47
+        # re-sweeps each of those families at stride 1
+        ("reg_div", True, [(96, None, 1, l, False, l) for l in (2, 3, 4)]
+                          + [(94, None, 1, l, False) for l in (2, 3, 4)]
+                          + family(48, 5, False)),
     ):
         diffs = diff_sweeps(verify, identity_id, include_nondivisible=incl)
         assert sorted(diffs, key=str) == sorted(want, key=str), identity_id
@@ -470,11 +529,15 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
     for ident in registry():
         verify(ident.id)
     reads["ubar"] = {1}
-    swept = {(args[1:], args[0]) for name, args in calls if name == "_sweep_plain"}
+    # a floor sweep (f, mod, over, f + 1) serves the reads of lo = f; each
+    # lo read is checked whole, with every floor above it, at the depth of
+    # the floors swept for it
+    swept = {(args[1:4], args[0]) for name, args in calls if name == "_sweep_plain"}
     swept |= {("ubar", args[0]) for name, args in calls if name == "_sweep_ubar"}
-    assert {key for key, _ in swept} == set(reads)
+    assert set(reads) <= {key for key, _ in swept}
+    assert all(key in reads for key, _ in swept if key == "ubar" or key[0] == 1)
 
-    for key, depth in sorted(swept, key=str):
+    for key, depth in sorted((s for s in swept if s[0] in reads), key=str):
         if key == "ubar":
             hists = [{1: t} for t in _sweep_ubar(depth)]
         else:
@@ -493,10 +556,14 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
 
     diffs = sorted({args for name, args in calls if name == "_sweep_diff"}, key=str)
     assert {a[1] is None for a in diffs} == {False, True}  # shapes and families
-    for nmax, t, lo, mod, over in diffs:
+    assert any(len(a) == 6 for a in diffs)  # and stride families
+    for args in diffs:
+        nmax, t, lo, mod, over, *stride = args
         want = (family_hists(nmax, lo, mod, over) if t is None
                 else fixed_diff_hists(nmax, t, lo, mod, over))
-        assert _sweep_diff(nmax, t, lo, mod, over) == want, (nmax, t, lo, mod, over)
+        if stride:  # the rows 2d with stride | d
+            want = [h if n % (2 * stride[0]) == 0 else {} for n, h in enumerate(want)]
+        assert _sweep_diff(*args) == want, args
 
 
 def test_each_countwise_side_reads_its_own_sources(record_sweeps, monkeypatch):
@@ -560,6 +627,10 @@ def test_each_countwise_side_reads_its_own_sources(record_sweeps, monkeypatch):
     assert no_enumeration == {"prop1", "thm_a3", "thm_a4"}
     assert reads["over_a2"] == (({"gf_pbar"}, set()), {(1, None, True)}, set(), {("ubar",)})
     assert reads["reg_a2"] == (({"gf_breg"}, set()), {(1, 2, False)}, set(), set())
+    # the Q_{l,k} and p*_m reads go to the floors key; a_m and p(2n, n) do not
+    for ident_id, left in (("thmG1", (1, None, False)), ("remark7", ("2n, n", 1, None, False))):
+        assert left in reads[ident_id][1], ident_id
+        assert reads[ident_id][3] == {("lo >= 2", None, False)}, ident_id
 
 
 def test_report_invariants():
