@@ -64,6 +64,8 @@ multiplicities c1 ... cr:
 
 from __future__ import annotations
 
+from itertools import chain
+
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
 
@@ -176,7 +178,9 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool, hi: int | None
     # larger runs once, and close[s] lists the slots (s + k f) * R + k,
     # k >= 1, that the runs of f fitting after a prefix summing to s fill.
     # Overpartitions weigh each partition by 2^runs.  The flat table
-    # becomes one histogram dict per n once, at the end.
+    # becomes one histogram dict per n once, at the end, for the n that a
+    # smallest part f reaches: n = f, or n >= 2f.  Prefix sums s in [1, f]
+    # are out of reach too, and get no slot list.
     R = nmax // lo + 1
     size = (nmax + 1) * R
     F = [0] * size
@@ -184,10 +188,13 @@ def _sweep_plain(nmax: int, lo: int, mod: int | None, over: bool, hi: int | None
         if mod and f % mod == 0:
             continue
         top = nmax - f
-        close = [list(range((s + f) * R + 1, size, f * R + 1)) for s in range(top + 1)]
+        close = [list(range((s + f) * R + 1, size, f * R + 1)) if s == 0 or s > f else ()
+                 for s in range(top + 1)]
         _walk_prefixes(F, close, f, top + 1, top, mod, 2 if over else 1, over)
-    return [{c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt} if n >= lo else {}
-            for n in range(nmax + 1)]
+    H = [{}] * (nmax + 1)
+    for n in chain(range(lo, min(hi or nmax + 1, lo + lo)), range(lo + lo, nmax + 1)):
+        H[n] = {c: cnt for c, cnt in enumerate(F[n * R:n * R + R]) if cnt}
+    return H
 
 
 def _unswept_floors(nmax: int) -> list:
@@ -386,7 +393,9 @@ class _HistCache:
                 low += 1
             run = tables[low]
             for f in range(low - 1, k - 1, -1):
-                run = tables[f] = list(map(_merged, run, _sweep_plain(nmax, f, mod, over, f + 1)))
+                hists = _sweep_plain(nmax, f, mod, over, f + 1)
+                run = tables[f] = run[:2 * f] + list(map(_merged, run[2 * f:], hists[2 * f:]))
+                run[f] = _merged(run[f], hists[f])
         return tables[k]
 
     def ubar(self, n: int) -> int:

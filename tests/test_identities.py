@@ -510,12 +510,15 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
     # separates show too; so is each fixed-difference sweep, ranged shape
     # or (2d, d) family, at every size it tallies.
     reads = {}
+    floor_reads = []
     last = []
     get = en._HistCache.get
 
     def spy_get(self, n, **kw):  # the plain key of the read that follows
         plain = kw.get("diff") is None
         last[:] = [(kw.get("lo", 1), kw.get("mod"), kw.get("over", False))] if plain else []
+        if last and last[0][0] >= 2:
+            floor_reads.append((n, *last[0]))
         return get(self, n, **kw)
 
     def spy_total(hist, m=1, _real=en._total):
@@ -529,30 +532,70 @@ def test_every_swept_key_has_an_independent_witness(record_sweeps, monkeypatch):
     for ident in registry():
         verify(ident.id)
     reads["ubar"] = {1}
-    # a floor sweep (f, mod, over, f + 1) serves the reads of lo = f; each
-    # lo read is checked whole, with every floor above it, at the depth of
-    # the floors swept for it
-    swept = {(args[1:4], args[0]) for name, args in calls if name == "_sweep_plain"}
+    swept = {(args[1:], args[0]) for name, args in calls if name == "_sweep_plain" and len(args) == 4}
     swept |= {("ubar", args[0]) for name, args in calls if name == "_sweep_ubar"}
-    assert set(reads) <= {key for key, _ in swept}
-    assert all(key in reads for key, _ in swept if key == "ubar" or key[0] == 1)
+    # the reads at lo >= 2 of one (mod, over) share a floors key, whose
+    # floors f are swept one per call (hi = f + 1), from the top down, each
+    # once per bound
+    floors = {}
+    for name, args in calls:
+        if name == "_sweep_plain" and len(args) == 5:
+            nmax, f, mod, over, hi = args
+            assert hi == f + 1, args
+            floors.setdefault((mod, over, nmax), []).append(f)
+    for (mod, over, depth), fs in floors.items():
+        assert fs == list(range(depth, fs[-1] - 1, -1)), (mod, over, depth)
+    assert {key for key, _ in swept} | {("lo >= 2", mod, over) for mod, over, _ in floors} == {
+        key if key == "ubar" or key[0] == 1 else ("lo >= 2", *key[1:]) for key in reads}
+    assert all(any(key[0] in fs for (mod, over, _), fs in floors.items() if key[1:] == (mod, over))
+               for key in reads if key != "ubar" and key[0] >= 2)
 
-    for key, depth in sorted((s for s in swept if s[0] in reads), key=str):
-        if key == "ubar":
-            hists = [{1: t} for t in _sweep_ubar(depth)]
-        else:
-            hists = _sweep_plain(depth, *key)
-            assert hists == smallest_run_hists(depth, *key), (key, depth)
+    def check(key, hists, depth):
         for m in sorted(reads[key] | {1}):
             witness = _witnesses(key, m, depth + 1)
             assert witness is not None, (key, m)
             for n in range(1, depth + 1):
                 got = sum(cnt for c, cnt in hists[n].items() if c >= m)
                 assert got == witness.coeff(n), (key, depth, m, n)
+
+    for key, depth in sorted(swept, key=str):
+        if key == "ubar":
+            hists = [{1: t} for t in _sweep_ubar(depth)]
+        else:
+            hists = _sweep_plain(depth, *key)
+            assert hists == smallest_run_hists(depth, *key), (key, depth)
+        check(key, hists, depth)
         if key == (1, None, False):
             assert [sum(h.values()) for h in hists[1:]] == [
                 en.count_p(n) for n in range(1, depth + 1)
             ]
+
+    # the floors' tables as the cache builds them, each floor's own sweep
+    # added to the table above it, for every lo read (the one-call sweep of
+    # all floors >= lo too)
+    def added(h, g):
+        return {c: h.get(c, 0) + g.get(c, 0) for c in h.keys() | g.keys()}
+
+    for (mod, over, depth), fs in sorted(floors.items(), key=str):
+        run = [{}] * (depth + 1)
+        for f in fs:
+            run = list(map(added, run, _sweep_plain(depth, f, mod, over, f + 1)))
+            key = (f, mod, over)
+            if key in reads:
+                assert run == smallest_run_hists(depth, *key), (key, depth)
+                assert run == _sweep_plain(depth, *key), (key, depth)
+                check(key, run, depth)
+
+    # and every lo >= 2 read the catalog makes, replayed in its order on a
+    # cold cache with the real kernels, against the coin-change rows
+    monkeypatch.setattr(en._HistCache, "get", get)
+    monkeypatch.setattr(en, "_sweep_plain", _sweep_plain)
+    cache = en._HistCache()
+    depth = max(n for n, *_ in floor_reads)
+    want = {key: smallest_run_hists(depth, *key) for key in {tuple(r[1:]) for r in floor_reads}}
+    for n, lo, mod, over in floor_reads:
+        assert cache.get(n, lo=lo, mod=mod, over=over) == (want[lo, mod, over][n] if n >= 1 else {}), (
+            n, lo, mod, over)
 
     diffs = sorted({args for name, args in calls if name == "_sweep_diff"}, key=str)
     assert {a[1] is None for a in diffs} == {False, True}  # shapes and families
