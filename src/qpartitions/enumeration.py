@@ -383,7 +383,9 @@ class _HistCache:
 
     def _floors(self, n: int, lo: int, mod: int | None, over: bool) -> list:
         # tables[k] is the lo = k histogram list, or None below the lowest
-        # floor swept, from which a miss walks down to lo
+        # floor swept, from which a miss walks down to lo.  Floor f adds to
+        # the rows it reaches, n >= 2f, and fills row f, which no floor
+        # above it reaches; the other rows are shared with the table above
         tables = self._swept(("lo >= 2", mod, over), n, _unswept_floors)
         k = min(lo, len(tables) - 1)
         if tables[k] is None:
@@ -395,7 +397,7 @@ class _HistCache:
             for f in range(low - 1, k - 1, -1):
                 hists = _sweep_plain(nmax, f, mod, over, f + 1)
                 run = tables[f] = run[:2 * f] + list(map(_merged, run[2 * f:], hists[2 * f:]))
-                run[f] = _merged(run[f], hists[f])
+                run[f] = hists[f]
         return tables[k]
 
     def ubar(self, n: int) -> int:
